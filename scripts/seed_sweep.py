@@ -1,15 +1,16 @@
 #!/usr/bin/env python3
 """Multi-seed study of the final-model strategies on the default experiment.
 
-For each seed and model family this runs the default config, then reports
-per strategy the final test FER and the test-FER curve fluctuation
-(standard deviation of checkpoint-to-checkpoint changes). The two summary
-counts at the bottom are the ones the acceptance suite checks:
+For each seed and model family this runs ``configs/default_<model>.cfg``
+(plus any ``--set`` overrides), then reports per strategy the final test FER
+and the test-FER curve spread (standard deviation of the per-checkpoint test
+FER series). The two summary counts at the bottom are the ones the
+acceptance suite checks:
 
 * ema_beats_bmuf: seeds where the exponential shadow's final test FER is at
   most the raw global model's
 * ema_steadier_than_ma: seeds where the exponential shadow's curve
-  fluctuates less than the running mean's
+  spreads less than the running mean's
 
 Usage: python scripts/seed_sweep.py [--seeds N] [--models mlp,lstm]
        [--set key=value ...]
@@ -20,39 +21,41 @@ from __future__ import annotations
 import argparse
 import sys
 import time
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 
-sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
+ROOT = Path(__file__).resolve().parent.parent
+sys.path.insert(0, str(ROOT / "src"))
 
 from blocktrain.experiment import ExperimentConfig, run_experiment
 
 
-def curve_fluctuation(records, strategy):
-    fers = [r.fer for r in records if r.strategy == strategy]
-    return float(np.std(np.diff(fers)))
+def curve_spread(records, strategy):
+    return float(np.std([r.fer for r in records if r.strategy == strategy]))
 
 
 def run_study(models, seeds, overrides):
     for model in models:
-        config = ExperimentConfig(**{**ExperimentConfig().__dict__, **overrides, "model": model})
+        config = ExperimentConfig.from_file(ROOT / "configs" / f"default_{model}.cfg")
+        config = replace(config, **overrides)
         ema_beats_bmuf = 0
         ema_steadier = 0
         print(f"== {model} ==")
-        print("seed  bmuf_fer  ma_fer  ema_fer  ma_fluct  ema_fluct  secs")
+        print("seed  bmuf_fer  ma_fer  ema_fer  ma_spread  ema_spread  secs")
         for seed in seeds:
             start = time.perf_counter()
             result = run_experiment(config.with_seed(seed), threaded=False)
             elapsed = time.perf_counter() - start
             final = result.final_test_fer
-            fl_ma = curve_fluctuation(result.test_records, "ma")
-            fl_ema = curve_fluctuation(result.test_records, "ema")
+            spread_ma = curve_spread(result.test_records, "ma")
+            spread_ema = curve_spread(result.test_records, "ema")
             ema_beats_bmuf += final["ema"] <= final["bmuf"]
-            ema_steadier += fl_ema < fl_ma
+            ema_steadier += spread_ema < spread_ma
             print(
                 f"{seed:<4d}  {final['bmuf']:.4f}    {final['ma']:.4f}  "
-                f"{final['ema']:.4f}   {fl_ma:.5f}   {fl_ema:.5f}    {elapsed:.1f}"
+                f"{final['ema']:.4f}   {spread_ma:.5f}    {spread_ema:.5f}     {elapsed:.1f}"
             )
         n = len(seeds)
         print(f"ema_beats_bmuf: {ema_beats_bmuf}/{n}   ema_steadier_than_ma: {ema_steadier}/{n}")

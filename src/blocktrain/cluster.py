@@ -1,12 +1,15 @@
 """Simulated N-worker cluster with barrier-synchronized block training.
 
-Workers are long-lived threads that exchange data only through queues: the
-coordinator hands out block commands, workers train on their own shard
-stream, models are aggregated (either by the coordinator or peer-to-peer in
-shards), the filtered global update runs, and the new global model is
-broadcast back before the next block may start. A serial mode drives the
-same worker objects in ascending index order and produces bit-identical
-results, because every reduction sums in the same fixed order.
+A block is one fixed sequence, defined once in :meth:`Cluster.run_block`:
+every worker trains on its own shard stream, the local models are averaged
+(by the coordinator, or sharded across workers), the filtered global update
+runs, the shadows observe it, and the new global model is broadcast back
+before the next block may start. Serial mode runs the per-worker steps in
+ascending index order on the calling thread; threaded mode runs the same
+steps on long-lived worker threads that exchange data only through queues.
+Every average goes through one centered-mean kernel
+(:func:`~blocktrain.numerics.centered_mean`) that sums in ascending worker
+order, so all modes and transports produce bit-identical results.
 """
 
 from __future__ import annotations
@@ -14,12 +17,13 @@ from __future__ import annotations
 import queue
 import threading
 from dataclasses import dataclass, field
-from typing import Sequence
+from operator import itemgetter
+from typing import Callable, Sequence
 
 import numpy as np
 
 from .models import Batch, ModelSpec, backward
-from .numerics import ParamVector, frozen, mean_reduce
+from .numerics import ParamVector, centered_mean, frozen, mean_reduce
 from .optim import SgdState, sgd_step
 from .sync import ShadowState, SyncState, bmuf_apply, shadow_update
 
@@ -40,7 +44,6 @@ class ClusterConfig:
     num_workers: int = 8
     block_size: int = 16
     transport: str = "decentralized"
-    seed: int = 0
     # momentum buffers normally persist across broadcasts; set True to zero
     # them whenever a new global model lands
     reset_momentum: bool = False
@@ -102,26 +105,19 @@ def decentralized_aggregate(
 ) -> ParamVector:
     """Shard-wise mean over workers, reassembled into a full vector.
 
-    Each shard is averaged in ascending worker order with the same centered
-    form as :func:`~blocktrain.numerics.mean_reduce`, so the result equals
-    the centralized mean bit for bit.
+    Each shard is averaged with :func:`~blocktrain.numerics.centered_mean`,
+    the kernel :func:`~blocktrain.numerics.mean_reduce` applies to whole
+    vectors, so the result equals the centralized mean bit for bit.
     """
     if len(local_models) == 0:
         raise ValueError("need at least one local model")
-    n = len(local_models)
     for v in local_models:
         if len(v) != plan.param_len:
             raise ValueError(f"model length {len(v)} does not match plan {plan.param_len}")
     out = np.empty(plan.param_len)
     for j in range(plan.num_shards):
         lo, hi = plan.range_of(j)
-        base = local_models[0].values[lo:hi]
-        acc = np.zeros(hi - lo)
-        for v in local_models[1:]:
-            acc += v.values[lo:hi] - base
-        acc /= n
-        acc += base
-        out[lo:hi] = acc
+        out[lo:hi] = centered_mean([v.values[lo:hi] for v in local_models])
     return ParamVector(frozen(out))
 
 
@@ -164,13 +160,19 @@ class WorkerState:
 class Cluster:
     """Coordinator plus N workers; one ``run_block`` call per sync block.
 
-    With ``threaded=True`` the workers run as daemon threads and all data
-    crosses thread boundaries through queues. With ``threaded=False`` the
-    same worker objects are stepped in ascending index order on the calling
-    thread; both modes produce bitwise-identical trajectories.
+    ``run_block`` is the single definition of a block. Every per-worker part
+    of it is a step (a callable taking a :class:`WorkerState`) handed to
+    ``_on_workers``. With ``threaded=False`` the steps run in ascending
+    worker order on the calling thread. With ``threaded=True`` each worker is
+    a daemon thread that takes steps from its inbox queue and posts results
+    back, and the decentralized transport averages peer to peer over queues
+    instead of in the coordinator. Both modes and both transports produce
+    bitwise-identical trajectories. A worker's failure is raised from
+    ``run_block`` under either transport; the cluster is then only fit to
+    be closed.
 
     ``event_log``, when given, receives ``(phase, block_index, worker)``
-    tuples from worker threads; tests use it to check the barrier protocol.
+    tuples from the workers; tests use it to check the barrier protocol.
     """
 
     def __init__(
@@ -196,88 +198,95 @@ class Cluster:
         self.threaded = threaded
         self.event_log = event_log
         self.plan = make_shard_plan(len(sync_state.global_model), config.num_workers)
+        self._p2p = threaded and config.transport == "decentralized"
+        on_threads = self.workers if threaded else []
         self._results: queue.Queue = queue.Queue()
-        self._inboxes: list[queue.Queue] = []
-        self._shard_in: list[queue.Queue] = []
-        self._gather_in: list[queue.Queue] = []
-        self._threads: list[threading.Thread] = []
-        if threaded:
-            for w in self.workers:
-                self._inboxes.append(queue.Queue())
-                self._shard_in.append(queue.Queue())
-                self._gather_in.append(queue.Queue())
-            for w in self.workers:
-                t = threading.Thread(
-                    target=self._worker_loop, args=(w,), daemon=True
-                )
-                t.start()
-                self._threads.append(t)
+        self._inboxes = [queue.Queue() for _ in on_threads]
+        self._shard_in = [queue.Queue() for _ in on_threads]
+        self._gather_in = [queue.Queue() for _ in on_threads]
+        self._threads = [
+            threading.Thread(target=self._worker_loop, args=(w,), daemon=True)
+            for w in on_threads
+        ]
+        for t in self._threads:
+            t.start()
 
-    # -- worker side ---------------------------------------------------
+    # -- per-worker steps ----------------------------------------------
 
-    def _worker_loop(self, w: WorkerState) -> None:
-        try:
-            while True:
-                msg = self._inboxes[w.index].get()
-                if msg[0] == "stop":
-                    return
-                if msg[0] == "block":
-                    block_index = msg[1]
-                    if self.event_log is not None:
-                        self.event_log.append(("start", block_index, w.index))
-                    w.run_local_block(self.spec, self.config.block_size)
-                    if self.config.transport == "centralized":
-                        self._results.put(("local", w.index, w.model))
-                    else:
-                        self._results.put(("mean", w.index, self._p2p_aggregate(w)))
-                elif msg[0] == "model":
-                    block_index, model = msg[1], msg[2]
-                    self._apply_broadcast(w, model)
-                    if self.event_log is not None:
-                        self.event_log.append(("applied", block_index, w.index))
-                    self._results.put(("applied", w.index, None))
-        except BaseException as exc:  # surface worker crashes to the coordinator
-            self._results.put(("error", w.index, exc))
+    def _train(self, w: WorkerState, block_index: int) -> ParamVector:
+        """Local block; returns the local model, or with peer-to-peer
+        aggregation the all-gathered mean."""
+        if self.event_log is not None:
+            self.event_log.append(("start", block_index, w.index))
+        w.run_local_block(self.spec, self.config.block_size)
+        return self._p2p_aggregate(w) if self._p2p else w.model
 
-    def _apply_broadcast(self, w: WorkerState, model: ParamVector) -> None:
+    def _adopt(self, w: WorkerState, model: ParamVector, block_index: int) -> None:
         w.model = model
         if self.config.reset_momentum:
             w.opt = SgdState.initial(
                 len(model), w.opt.learning_rate, w.opt.momentum
             )
+        if self.event_log is not None:
+            self.event_log.append(("applied", block_index, w.index))
 
     def _p2p_aggregate(self, w: WorkerState) -> ParamVector:
         """Reduce-scatter then all-gather through the per-worker queues."""
-        n = self.config.num_workers
+        n = len(self.workers)
         values = w.model.values
-        for peer in range(n):
-            lo, hi = self.plan.range_of(peer)
-            self._shard_in[peer].put((w.index, values[lo:hi]))
-        parts = sorted(self._shard_in[w.index].get() for _ in range(n))
-        base = parts[0][1]
-        acc = np.zeros(base.shape[0])
-        for _, arr in parts[1:]:
-            acc += arr - base
-        acc /= n
-        acc += base
-        acc = frozen(acc)
-        for peer in range(n):
-            self._gather_in[peer].put((w.index, acc))
-        pieces = sorted(self._gather_in[w.index].get() for _ in range(n))
-        return ParamVector(frozen(np.concatenate([arr for _, arr in pieces])))
+        shards = [values[lo:hi] for lo, hi in map(self.plan.range_of, range(n))]
+        mine = centered_mean(self._exchange(self._shard_in, shards, w))
+        pieces = self._exchange(self._gather_in, [mine] * n, w)
+        return ParamVector(frozen(np.concatenate(pieces)))
+
+    @staticmethod
+    def _exchange(
+        inboxes: Sequence[queue.Queue], items: Sequence[np.ndarray], w: WorkerState
+    ) -> list[np.ndarray]:
+        """Send ``items[p]`` to peer ``p``; return what every peer sent ``w``,
+        in worker order. A ``None`` item marks a peer that failed."""
+        for inbox, item in zip(inboxes, items):
+            inbox.put((w.index, item))
+        got = [inboxes[w.index].get() for _ in items]
+        if any(item is None for _, item in got):
+            raise RuntimeError(f"worker {w.index}: a peer failed during aggregation")
+        return [item for _, item in sorted(got, key=itemgetter(0))]
+
+    def _worker_loop(self, w: WorkerState) -> None:
+        inbox = self._inboxes[w.index]
+        while (step := inbox.get()) is not None:
+            try:
+                self._results.put((w.index, step(w), None))
+            except BaseException as exc:  # handed to the coordinator, which raises it
+                self._results.put((w.index, None, exc))
+                # unblock peers waiting for this worker's shard
+                for peer_inbox in self._shard_in + self._gather_in:
+                    peer_inbox.put((w.index, None))
 
     # -- coordinator side ----------------------------------------------
 
-    def _collect(self, expected_kind: str) -> list[tuple[int, object]]:
-        got = []
-        for _ in range(self.config.num_workers):
-            kind, index, payload = self._results.get()
-            if kind == "error":
-                raise payload
-            if kind != expected_kind:
-                raise RuntimeError(f"protocol error: expected {expected_kind}, got {kind}")
-            got.append((index, payload))
-        return sorted(got)
+    def _on_workers(self, step: Callable[[WorkerState], object]) -> list:
+        """``step(w)`` for every worker, in ascending worker order.
+
+        In threaded mode every worker replies once per step; the first
+        failure to arrive is raised, after all replies are in.
+        """
+        if not self.threaded:
+            return [step(w) for w in self.workers]
+        for inbox in self._inboxes:
+            inbox.put(step)
+        replies = [self._results.get() for _ in self.workers]
+        for _, _, exc in replies:
+            if exc is not None:
+                raise exc
+        return [result for _, result, _ in sorted(replies, key=itemgetter(0))]
+
+    def _aggregate(self, results: list[ParamVector]) -> ParamVector:
+        if self._p2p:
+            return results[0]  # every worker already holds the mean
+        if self.config.transport == "centralized":
+            return mean_reduce(results)
+        return decentralized_aggregate(results, self.plan)
 
     def run_block(self) -> SyncState:
         """Train one block on every worker, synchronize, broadcast.
@@ -286,40 +295,21 @@ class Cluster:
         the freshly broadcast global model, while momentum buffers persist.
         """
         block_index = self.sync_state.block_index + 1
-        if self.threaded:
-            for inbox in self._inboxes:
-                inbox.put(("block", block_index))
-            if self.config.transport == "centralized":
-                locals_ = [m for _, m in self._collect("local")]
-                theta_bar = mean_reduce(locals_)
-            else:
-                theta_bar = self._collect("mean")[0][1]
-        else:
-            for w in self.workers:
-                w.run_local_block(self.spec, self.config.block_size)
-            locals_ = [w.model for w in self.workers]
-            if self.config.transport == "centralized":
-                theta_bar = mean_reduce(locals_)
-            else:
-                theta_bar = decentralized_aggregate(locals_, self.plan)
+        theta_bar = self._aggregate(
+            self._on_workers(lambda w: self._train(w, block_index))
+        )
         self.sync_state = bmuf_apply(self.sync_state, theta_bar)
         if self.shadow_state is not None:
             self.shadow_state = shadow_update(
                 self.shadow_state, self.sync_state.global_model
             )
         new_model = self.sync_state.global_model
-        if self.threaded:
-            for inbox in self._inboxes:
-                inbox.put(("model", block_index, new_model))
-            self._collect("applied")
-        else:
-            for w in self.workers:
-                self._apply_broadcast(w, new_model)
+        self._on_workers(lambda w: self._adopt(w, new_model, block_index))
         return self.sync_state
 
     def close(self) -> None:
         for inbox in self._inboxes:
-            inbox.put(("stop",))
+            inbox.put(None)
         for t in self._threads:
             t.join()
         self._threads = []

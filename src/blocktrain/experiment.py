@@ -18,7 +18,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .cluster import Cluster, ClusterConfig, WorkerState
+from .cluster import TRANSPORTS, Cluster, ClusterConfig, WorkerState
 from .data import (
     Corpus,
     SplitSpec,
@@ -98,6 +98,9 @@ class ExperimentConfig:
     def __post_init__(self) -> None:
         object.__setattr__(self, "mlp_hidden", tuple(int(h) for h in self.mlp_hidden))
         check = _require
+        for f in fields(self):
+            if f.type in ("float", float):
+                check(math.isfinite(getattr(self, f.name)), f.name, "must be finite")
         check(self.model in ("mlp", "lstm"), "model", "must be 'mlp' or 'lstm'")
         check(all(h >= 1 for h in self.mlp_hidden), "mlp_hidden", "sizes must be >= 1")
         check(self.lstm_hidden >= 1, "lstm_hidden", "must be >= 1")
@@ -128,11 +131,7 @@ class ExperimentConfig:
         )
         check(self.num_workers >= 1, "num_workers", "must be >= 1")
         check(self.block_size >= 1, "block_size", "must be >= 1")
-        check(
-            self.transport in ("centralized", "decentralized"),
-            "transport",
-            "must be 'centralized' or 'decentralized'",
-        )
+        check(self.transport in TRANSPORTS, "transport", f"must be one of {TRANSPORTS}")
         check(0.0 <= self.block_momentum < 1.0, "block_momentum", "must be in [0, 1)")
         check(self.block_learning_rate > 0.0, "block_learning_rate", "must be > 0")
         check(0.0 <= self.ema_rate <= 1.0, "ema_rate", "must be in [0, 1]")
@@ -159,7 +158,6 @@ class ExperimentConfig:
             self.num_workers,
             self.block_size,
             self.transport,
-            self.seed,
             self.reset_momentum,
         )
 

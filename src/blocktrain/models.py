@@ -205,12 +205,19 @@ def _lstm_views(
     return layers, w_out, b_out
 
 
-def _check_params(spec: ModelSpec, params: ParamVector) -> None:
+def _check_call(spec: ModelSpec, params: ParamVector, batch: Batch) -> None:
+    """Argument checks shared by every public operation on a model."""
     expected = param_count(spec)
     if len(params) != expected:
         raise ValueError(
             f"parameter vector has length {len(params)}, spec needs {expected}"
         )
+    if batch.inputs.shape[1] != spec.input_dim:
+        raise ValueError(
+            f"inputs must be (frames, {spec.input_dim}), got {batch.inputs.shape}"
+        )
+    if batch.targets.size and int(batch.targets.max()) >= spec.output_dim:
+        raise ValueError("target class out of range for model output")
 
 
 def init_params(spec: ModelSpec, rng: np.random.Generator) -> ParamVector:
@@ -420,14 +427,7 @@ def _lstm_logits(spec: LstmSpec, values: np.ndarray, batch: Batch) -> np.ndarray
 
 def forward_loss(spec: ModelSpec, params: ParamVector, batch: Batch) -> float:
     """Mean cross-entropy over all frames in the batch."""
-    _check_params(spec, params)
-    if batch.inputs.shape[1] != _input_dim(spec):
-        raise ValueError(
-            f"batch dim {batch.inputs.shape[1]} does not match model input "
-            f"{_input_dim(spec)}"
-        )
-    if batch.targets.size and int(batch.targets.max()) >= _output_dim(spec):
-        raise ValueError("target class out of range for model output")
+    _check_call(spec, params, batch)
     if isinstance(spec, MlpSpec):
         loss, _ = _mlp_loss_grad(spec, params.values, batch, want_grad=False)
     else:
@@ -443,14 +443,7 @@ def backward(
     The returned loss is bitwise the value :func:`forward_loss` computes on
     the same inputs; both run the identical forward code.
     """
-    _check_params(spec, params)
-    if batch.inputs.shape[1] != _input_dim(spec):
-        raise ValueError(
-            f"batch dim {batch.inputs.shape[1]} does not match model input "
-            f"{_input_dim(spec)}"
-        )
-    if batch.targets.size and int(batch.targets.max()) >= _output_dim(spec):
-        raise ValueError("target class out of range for model output")
+    _check_call(spec, params, batch)
     if isinstance(spec, MlpSpec):
         loss, gvec = _mlp_loss_grad(spec, params.values, batch, want_grad=True)
     else:
@@ -470,24 +463,12 @@ def predict_frames(
     (default: one sequence). Softmax is monotone, so the argmax is taken on
     the logits directly.
     """
-    _check_params(spec, params)
     inputs = np.asarray(inputs, dtype=np.float64)
-    if inputs.ndim != 2 or inputs.shape[1] != _input_dim(spec):
-        raise ValueError(
-            f"inputs must be (frames, {_input_dim(spec)}), got {inputs.shape}"
-        )
-    dummy = np.zeros(inputs.shape[0], dtype=np.int64)
+    dummy = np.zeros(inputs.shape[:1], dtype=np.int64)
     batch = Batch(inputs, dummy, tuple(seq_lengths) if seq_lengths else ())
+    _check_call(spec, params, batch)
     if isinstance(spec, MlpSpec):
         _, logits = _mlp_pass(spec, params.values, batch.inputs)
     else:
         logits = _lstm_logits(spec, params.values, batch)
     return np.argmax(logits, axis=1)
-
-
-def _input_dim(spec: ModelSpec) -> int:
-    return spec.layer_sizes[0] if isinstance(spec, MlpSpec) else spec.input_dim
-
-
-def _output_dim(spec: ModelSpec) -> int:
-    return spec.layer_sizes[-1] if isinstance(spec, MlpSpec) else spec.output_dim

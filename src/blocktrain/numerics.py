@@ -21,6 +21,7 @@ import numpy as np
 __all__ = [
     "ParamVector",
     "axpy",
+    "centered_mean",
     "mean_reduce",
     "make_rng",
     "substream",
@@ -75,14 +76,27 @@ def axpy(a: float, x: ParamVector, y: ParamVector) -> ParamVector:
     return ParamVector(frozen(a * x.values + y.values))
 
 
-def mean_reduce(vs: Sequence[ParamVector]) -> ParamVector:
-    """Arithmetic mean over workers, summed in ascending worker index.
+def centered_mean(parts: Sequence[np.ndarray]) -> np.ndarray:
+    """Mean of equal-length arrays as ``parts[0] + sum_i(parts[i] - parts[0]) / N``.
 
-    Computed in the centered form ``vs[0] + sum_i(vs[i] - vs[0]) / N``. This
-    keeps the mean of N identical vectors exactly equal to that vector and
-    performs the same per-element operation sequence as the sharded
-    aggregation path, so both agree bit for bit.
+    The one reduction kernel: it sums in list order (callers pass ascending
+    worker index) and keeps the mean of N identical arrays exactly equal to
+    that array. Every aggregation path calls it, whole vectors or shard
+    slices alike, so each element sees the same operation sequence and all
+    paths agree bit for bit. Returns a new read-only array.
     """
+    base = parts[0]
+    acc = np.zeros_like(base)
+    for part in parts[1:]:
+        acc += part - base
+    acc /= len(parts)
+    acc += base
+    return frozen(acc)
+
+
+def mean_reduce(vs: Sequence[ParamVector]) -> ParamVector:
+    """Arithmetic mean over workers, summed in ascending worker index
+    (see :func:`centered_mean`)."""
     if len(vs) == 0:
         raise ValueError("mean_reduce needs at least one vector")
     base = vs[0].values
@@ -91,12 +105,7 @@ def mean_reduce(vs: Sequence[ParamVector]) -> ParamVector:
             raise ValueError(
                 f"length mismatch: {v.values.shape[0]} vs {base.shape[0]}"
             )
-    acc = np.zeros_like(base)
-    for v in vs[1:]:
-        acc += v.values - base
-    acc /= len(vs)
-    acc += base
-    return ParamVector(frozen(acc))
+    return ParamVector(centered_mean([v.values for v in vs]))
 
 
 def make_rng(seed: int) -> np.random.Generator:

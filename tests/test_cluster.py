@@ -1,3 +1,5 @@
+import threading
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -114,7 +116,7 @@ def tiny_setup(n_workers, transport, *, block_size=3, seed=99, eta=0.9, zeta=1.0
         )
     sync = SyncState.initial(theta0, eta, zeta)
     shadow = ShadowState.initial(theta0, 0.9)
-    config = ClusterConfig(n_workers, block_size, transport, seed)
+    config = ClusterConfig(n_workers, block_size, transport)
     return spec, workers, sync, shadow, config
 
 
@@ -166,7 +168,7 @@ class TestCluster:
             0, theta0, SgdState.initial(len(theta0), 0.1, 0.7), (batch,), substream(1, 5, 0)
         )
         sync = SyncState.initial(theta0, 0.0, 1.0)
-        config = ClusterConfig(1, k, "centralized", 1)
+        config = ClusterConfig(1, k, "centralized")
         with Cluster(spec, [worker], sync, None, config, threaded=False) as cluster:
             state = cluster.run_block()
         from blocktrain.models import backward
@@ -193,7 +195,6 @@ class TestCluster:
                 config.num_workers,
                 config.block_size,
                 config.transport,
-                config.seed,
                 reset_momentum=True,
             )
             with Cluster(
@@ -226,12 +227,27 @@ class TestCluster:
             assert last_applied < first_start_next
             assert len(position[("applied", block)]) == 4
 
-    def test_worker_exception_propagates(self):
-        spec, workers, sync, shadow, config = tiny_setup(2, "centralized")
+    @pytest.mark.parametrize("transport", ["centralized", "decentralized"])
+    def test_worker_exception_propagates(self, transport):
+        spec, workers, sync, shadow, config = tiny_setup(2, transport)
         bad = Batch(np.zeros((2, 4)), np.array([0, 7]))  # class 7 beyond 2 outputs
         workers[1] = WorkerState(
             1, workers[1].model, workers[1].opt, (bad,), make_rng(0)
         )
-        with Cluster(spec, workers, sync, shadow, config, threaded=True) as cluster:
-            with pytest.raises(ValueError, match="out of range"):
-                cluster.run_block()
+        outcome = []
+
+        def body():
+            try:
+                with Cluster(spec, workers, sync, shadow, config, threaded=True) as cluster:
+                    cluster.run_block()
+            except BaseException as exc:
+                outcome.append(exc)
+
+        # a daemon thread, so that a hang fails the test instead of the suite
+        runner = threading.Thread(target=body, daemon=True)
+        runner.start()
+        runner.join(timeout=30)
+        assert not runner.is_alive(), "crashed worker hung the cluster"
+        assert len(outcome) == 1
+        assert isinstance(outcome[0], ValueError)
+        assert "out of range" in str(outcome[0])

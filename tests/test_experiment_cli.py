@@ -1,3 +1,5 @@
+from dataclasses import fields
+
 import pytest
 
 from blocktrain.cli import main
@@ -82,6 +84,14 @@ class TestConfigRoundTrip:
     def test_validation_names_key(self):
         with pytest.raises(ConfigError, match="block_momentum"):
             ExperimentConfig(block_momentum=1.0)
+
+    @pytest.mark.parametrize("value", ["inf", "-inf", "nan"])
+    @pytest.mark.parametrize(
+        "key", [f.name for f in fields(ExperimentConfig) if f.type in ("float", float)]
+    )
+    def test_non_finite_float_is_named(self, key, value):
+        with pytest.raises(ConfigError, match=f"'{key}': must be finite"):
+            ExperimentConfig.from_text(f"{key} = {value}\n")
 
 
 class TestRunExperiment:
@@ -196,6 +206,13 @@ class TestCliRun:
         code = main(["run", "--config", str(cfg_path), "--out", str(tmp_path / "out")])
         assert code == 2
         assert "model" in capsys.readouterr().err
+
+    def test_non_finite_config_names_key_and_fails(self, tmp_path, capsys):
+        cfg_path = tmp_path / "exp.cfg"
+        cfg_path.write_text("block_learning_rate = inf\n")
+        code = main(["run", "--config", str(cfg_path), "--out", str(tmp_path / "out")])
+        assert code == 2
+        assert "block_learning_rate" in capsys.readouterr().err
 
     def test_unwritable_out_dir_fails(self, tmp_path, capsys):
         cfg_path = tmp_path / "exp.cfg"
