@@ -14,6 +14,9 @@ acceptance suite checks:
 
 Usage: python scripts/seed_sweep.py [--seeds N] [--models mlp,lstm]
        [--set key=value ...]
+
+``--set`` values are parsed as config files parse them; an unknown key, an
+unparsable value or an invalid config exits with status 2 naming the key.
 """
 
 from __future__ import annotations
@@ -29,17 +32,41 @@ import numpy as np
 ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "src"))
 
-from blocktrain.experiment import ExperimentConfig, run_experiment
+from blocktrain.experiment import (
+    ConfigError,
+    ExperimentConfig,
+    parse_value,
+    run_experiment,
+)
 
 
 def curve_spread(records, strategy):
     return float(np.std([r.fer for r in records if r.strategy == strategy]))
 
 
-def run_study(models, seeds, overrides):
-    for model in models:
-        config = ExperimentConfig.from_file(ROOT / "configs" / f"default_{model}.cfg")
-        config = replace(config, **overrides)
+def parse_overrides(items):
+    """``key=value`` strings parsed as config files parse them; raises
+    ConfigError naming the key if it is unknown or its value unparsable."""
+    overrides = {}
+    for item in items:
+        key, _, raw = item.partition("=")
+        key = key.strip()
+        overrides[key] = parse_value(key, raw.strip())
+    return overrides
+
+
+def load_configs(models, overrides):
+    return {
+        model: replace(
+            ExperimentConfig.from_file(ROOT / "configs" / f"default_{model}.cfg"),
+            **overrides,
+        )
+        for model in models
+    }
+
+
+def run_study(configs, seeds):
+    for model, config in configs.items():
         ema_beats_bmuf = 0
         ema_steadier = 0
         print(f"== {model} ==")
@@ -74,16 +101,11 @@ def main(argv=None):
         help="override a config field (repeatable)",
     )
     args = parser.parse_args(argv)
-    overrides = {}
-    base = ExperimentConfig()
-    for item in args.set:
-        key, _, raw = item.partition("=")
-        current = getattr(base, key)
-        if isinstance(current, tuple):
-            overrides[key] = tuple(int(p) for p in raw.split(",") if p)
-        else:
-            overrides[key] = type(current)(raw)
-    run_study(args.models.split(","), list(range(args.seeds)), overrides)
+    try:
+        configs = load_configs(args.models.split(","), parse_overrides(args.set))
+    except ConfigError as exc:
+        parser.exit(2, f"error: {exc}\n")
+    run_study(configs, list(range(args.seeds)))
 
 
 if __name__ == "__main__":

@@ -2,11 +2,11 @@
 
 N simulated workers run mini-batch SGD with momentum on disjoint shards of a
 synthetic sequence-classification corpus. At every block boundary the local
-models are averaged (centrally or via sharded peer-to-peer aggregation) and
-the global model advances through a momentum-filtered update. Two shadow
-models, a running mean and an exponential moving average of the global
-models, observe every synchronization without ever being broadcast back, and
-compete with the raw global model as the final deliverable.
+models are averaged (as whole vectors or shard by shard) and the global
+model advances through a momentum-filtered update. Two shadow models, a
+running mean and an exponential moving average of the global models, observe
+every synchronization without ever being broadcast back, and compete with the
+raw global model as the final deliverable.
 """
 
 from .cluster import (

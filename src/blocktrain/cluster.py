@@ -1,13 +1,14 @@
 """Simulated N-worker cluster with barrier-synchronized block training.
 
 A block is one fixed sequence, defined once in :meth:`Cluster.run_block`:
-every worker trains on its own shard stream, the local models are averaged
-(by the coordinator, or sharded across workers), the filtered global update
-runs, the shadows observe it, and the new global model is broadcast back
-before the next block may start. Serial mode runs the per-worker steps in
-ascending index order on the calling thread; threaded mode runs the same
-steps on long-lived worker threads that exchange data only through queues.
-Every average goes through one centered-mean kernel
+every worker trains on its own shard stream, the coordinator averages the
+local models (whole vectors under the centralized transport, shard by shard
+under the decentralized one), the filtered global update runs, the shadows
+observe it, and the new global model is broadcast back before the next block
+may start. Serial mode runs the per-worker steps in ascending index order on
+the calling thread; threaded mode runs the same steps on long-lived worker
+threads, and queues carry only those steps and their results. Every average
+goes through one centered-mean kernel
 (:func:`~blocktrain.numerics.centered_mean`) that sums in ascending worker
 order, so all modes and transports produce bit-identical results.
 """
@@ -17,7 +18,6 @@ from __future__ import annotations
 import queue
 import threading
 from dataclasses import dataclass, field
-from operator import itemgetter
 from typing import Callable, Sequence
 
 import numpy as np
@@ -165,11 +165,11 @@ class Cluster:
     ``_on_workers``. With ``threaded=False`` the steps run in ascending
     worker order on the calling thread. With ``threaded=True`` each worker is
     a daemon thread that takes steps from its inbox queue and posts results
-    back, and the decentralized transport averages peer to peer over queues
-    instead of in the coordinator. Both modes and both transports produce
+    back. The transport only selects how the coordinator averages
+    (``_aggregate``), so both modes and both transports produce
     bitwise-identical trajectories. A worker's failure is raised from
-    ``run_block`` under either transport; the cluster is then only fit to
-    be closed.
+    ``run_block`` with the block and worker named; the cluster is then only
+    fit to be closed.
 
     ``event_log``, when given, receives ``(phase, block_index, worker)``
     tuples from the workers; tests use it to check the barrier protocol.
@@ -198,12 +198,9 @@ class Cluster:
         self.threaded = threaded
         self.event_log = event_log
         self.plan = make_shard_plan(len(sync_state.global_model), config.num_workers)
-        self._p2p = threaded and config.transport == "decentralized"
         on_threads = self.workers if threaded else []
         self._results: queue.Queue = queue.Queue()
         self._inboxes = [queue.Queue() for _ in on_threads]
-        self._shard_in = [queue.Queue() for _ in on_threads]
-        self._gather_in = [queue.Queue() for _ in on_threads]
         self._threads = [
             threading.Thread(target=self._worker_loop, args=(w,), daemon=True)
             for w in on_threads
@@ -214,12 +211,10 @@ class Cluster:
     # -- per-worker steps ----------------------------------------------
 
     def _train(self, w: WorkerState, block_index: int) -> ParamVector:
-        """Local block; returns the local model, or with peer-to-peer
-        aggregation the all-gathered mean."""
         if self.event_log is not None:
             self.event_log.append(("start", block_index, w.index))
         w.run_local_block(self.spec, self.config.block_size)
-        return self._p2p_aggregate(w) if self._p2p else w.model
+        return w.model
 
     def _adopt(self, w: WorkerState, model: ParamVector, block_index: int) -> None:
         w.model = model
@@ -230,60 +225,44 @@ class Cluster:
         if self.event_log is not None:
             self.event_log.append(("applied", block_index, w.index))
 
-    def _p2p_aggregate(self, w: WorkerState) -> ParamVector:
-        """Reduce-scatter then all-gather through the per-worker queues."""
-        n = len(self.workers)
-        values = w.model.values
-        shards = [values[lo:hi] for lo, hi in map(self.plan.range_of, range(n))]
-        mine = centered_mean(self._exchange(self._shard_in, shards, w))
-        pieces = self._exchange(self._gather_in, [mine] * n, w)
-        return ParamVector(frozen(np.concatenate(pieces)))
-
     @staticmethod
-    def _exchange(
-        inboxes: Sequence[queue.Queue], items: Sequence[np.ndarray], w: WorkerState
-    ) -> list[np.ndarray]:
-        """Send ``items[p]`` to peer ``p``; return what every peer sent ``w``,
-        in worker order. A ``None`` item marks a peer that failed."""
-        for inbox, item in zip(inboxes, items):
-            inbox.put((w.index, item))
-        got = [inboxes[w.index].get() for _ in items]
-        if any(item is None for _, item in got):
-            raise RuntimeError(f"worker {w.index}: a peer failed during aggregation")
-        return [item for _, item in sorted(got, key=itemgetter(0))]
+    def _attempt(step: Callable[[WorkerState], object], w: WorkerState) -> tuple:
+        try:
+            return w.index, step(w), None
+        except BaseException as exc:  # handed to the coordinator, which raises it
+            return w.index, None, exc
 
     def _worker_loop(self, w: WorkerState) -> None:
         inbox = self._inboxes[w.index]
         while (step := inbox.get()) is not None:
-            try:
-                self._results.put((w.index, step(w), None))
-            except BaseException as exc:  # handed to the coordinator, which raises it
-                self._results.put((w.index, None, exc))
-                # unblock peers waiting for this worker's shard
-                for peer_inbox in self._shard_in + self._gather_in:
-                    peer_inbox.put((w.index, None))
+            self._results.put(self._attempt(step, w))
 
     # -- coordinator side ----------------------------------------------
 
-    def _on_workers(self, step: Callable[[WorkerState], object]) -> list:
-        """``step(w)`` for every worker, in ascending worker order.
+    def _on_workers(
+        self, block_index: int, step: Callable[[WorkerState], object]
+    ) -> list:
+        """``step(w)`` for every worker, results in ascending worker order.
 
-        In threaded mode every worker replies once per step; the first
-        failure to arrive is raised, after all replies are in.
+        Serial mode stops at the first failure; threaded mode raises the
+        first failure to arrive, after all replies are in. Either way the
+        error keeps its type and gains the block and worker as a prefix.
         """
-        if not self.threaded:
-            return [step(w) for w in self.workers]
-        for inbox in self._inboxes:
-            inbox.put(step)
-        replies = [self._results.get() for _ in self.workers]
-        for _, _, exc in replies:
+        if self.threaded:
+            for inbox in self._inboxes:
+                inbox.put(step)
+            replies = [self._results.get() for _ in self.workers]
+        else:
+            replies = (self._attempt(step, w) for w in self.workers)
+        results = [None] * len(self.workers)
+        for index, result, exc in replies:
             if exc is not None:
+                exc.args = (f"block {block_index}, worker {index}: {exc}",)
                 raise exc
-        return [result for _, result, _ in sorted(replies, key=itemgetter(0))]
+            results[index] = result
+        return results
 
     def _aggregate(self, results: list[ParamVector]) -> ParamVector:
-        if self._p2p:
-            return results[0]  # every worker already holds the mean
         if self.config.transport == "centralized":
             return mean_reduce(results)
         return decentralized_aggregate(results, self.plan)
@@ -296,7 +275,7 @@ class Cluster:
         """
         block_index = self.sync_state.block_index + 1
         theta_bar = self._aggregate(
-            self._on_workers(lambda w: self._train(w, block_index))
+            self._on_workers(block_index, lambda w: self._train(w, block_index))
         )
         self.sync_state = bmuf_apply(self.sync_state, theta_bar)
         if self.shadow_state is not None:
@@ -304,7 +283,9 @@ class Cluster:
                 self.shadow_state, self.sync_state.global_model
             )
         new_model = self.sync_state.global_model
-        self._on_workers(lambda w: self._adopt(w, new_model, block_index))
+        self._on_workers(
+            block_index, lambda w: self._adopt(w, new_model, block_index)
+        )
         return self.sync_state
 
     def close(self) -> None:

@@ -39,6 +39,7 @@ __all__ = [
     "ExperimentResult",
     "run_experiment",
     "write_run_artifacts",
+    "parse_value",
     "CURVES_HEADER",
     "FINAL_HEADER",
 ]
@@ -181,7 +182,6 @@ class ExperimentConfig:
 
     @staticmethod
     def from_text(text: str) -> "ExperimentConfig":
-        parsers = _field_parsers()
         values: dict[str, object] = {}
         for raw in text.splitlines():
             line = raw.split("#", 1)[0].strip()
@@ -189,19 +189,11 @@ class ExperimentConfig:
                 continue
             key, sep, rendered = line.partition("=")
             key = key.strip()
-            rendered = rendered.strip()
             if not sep:
                 raise ConfigError(key or raw.strip(), "expected 'key = value'")
-            if key not in parsers:
-                raise ConfigError(key, "unknown key")
             if key in values:
                 raise ConfigError(key, "duplicate key")
-            try:
-                values[key] = parsers[key](rendered)
-            except ConfigError:
-                raise
-            except Exception:
-                raise ConfigError(key, f"cannot parse value {rendered!r}") from None
+            values[key] = parse_value(key, rendered.strip())
         return ExperimentConfig(**values)
 
     def to_file(self, path: str | Path) -> None:
@@ -225,6 +217,18 @@ def _parse_bool(rendered: str) -> bool:
     if lowered in ("true", "false"):
         return lowered == "true"
     raise ValueError(f"expected true or false, got {rendered!r}")
+
+
+def parse_value(key: str, rendered: str) -> object:
+    """One config value parsed as config files parse it; raises
+    :class:`ConfigError` naming ``key`` if it is unknown or unparsable."""
+    parsers = _field_parsers()
+    if key not in parsers:
+        raise ConfigError(key, "unknown key")
+    try:
+        return parsers[key](rendered)
+    except ValueError:
+        raise ConfigError(key, f"cannot parse value {rendered!r}") from None
 
 
 def _field_parsers() -> dict:

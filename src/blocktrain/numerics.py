@@ -3,7 +3,7 @@
 All model state in this package travels as a :class:`ParamVector`: an
 immutable, finite, 1-D float64 array holding every trainable parameter of one
 model. Reductions always sum in ascending worker order, so the centralized
-mean and the sharded (reduce-scatter style) mean agree bit for bit.
+mean and the shard-by-shard mean agree bit for bit.
 
 Random streams come from numpy's counter-based Philox generator, keyed by a
 64-bit seed plus an optional tuple of non-negative integer tags. The same

@@ -215,9 +215,10 @@ class TestCluster:
         with pytest.raises(ValueError, match="empty shard"):
             WorkerState(0, pv([0.0]), SgdState.initial(1, 0.1), (), make_rng(0))
 
-    def test_barrier_no_worker_starts_next_block_early(self):
+    @pytest.mark.parametrize("transport", ["centralized", "decentralized"])
+    def test_barrier_no_worker_starts_next_block_early(self, transport):
         event_log: list = []
-        run_blocks(True, "decentralized", blocks=3, n_workers=4, event_log=event_log)
+        run_blocks(True, transport, blocks=3, n_workers=4, event_log=event_log)
         position = {}
         for idx, (phase, block, worker) in enumerate(event_log):
             position.setdefault((phase, block), []).append(idx)
@@ -227,8 +228,16 @@ class TestCluster:
             assert last_applied < first_start_next
             assert len(position[("applied", block)]) == 4
 
-    @pytest.mark.parametrize("transport", ["centralized", "decentralized"])
-    def test_worker_exception_propagates(self, transport):
+    @pytest.mark.parametrize(
+        "threaded, transport",
+        [
+            pytest.param(True, "centralized", id="centralized"),
+            pytest.param(True, "decentralized", id="decentralized"),
+            pytest.param(False, "centralized", id="serial-centralized"),
+            pytest.param(False, "decentralized", id="serial-decentralized"),
+        ],
+    )
+    def test_worker_exception_propagates(self, threaded, transport):
         spec, workers, sync, shadow, config = tiny_setup(2, transport)
         bad = Batch(np.zeros((2, 4)), np.array([0, 7]))  # class 7 beyond 2 outputs
         workers[1] = WorkerState(
@@ -238,7 +247,9 @@ class TestCluster:
 
         def body():
             try:
-                with Cluster(spec, workers, sync, shadow, config, threaded=True) as cluster:
+                with Cluster(
+                    spec, workers, sync, shadow, config, threaded=threaded
+                ) as cluster:
                     cluster.run_block()
             except BaseException as exc:
                 outcome.append(exc)
@@ -251,3 +262,5 @@ class TestCluster:
         assert len(outcome) == 1
         assert isinstance(outcome[0], ValueError)
         assert "out of range" in str(outcome[0])
+        assert "block 1" in str(outcome[0])
+        assert "worker 1" in str(outcome[0])

@@ -1,4 +1,6 @@
+import importlib.util
 from dataclasses import fields
+from pathlib import Path
 
 import pytest
 
@@ -282,3 +284,29 @@ class TestArtifacts:
             assert "," in row and ";" not in row
         manifest = ExperimentConfig.from_file(tmp_path / "out" / "manifest.cfg")
         assert manifest == TINY
+
+
+def load_seed_sweep():
+    path = Path(__file__).resolve().parent.parent / "scripts" / "seed_sweep.py"
+    spec = importlib.util.spec_from_file_location("seed_sweep", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+class TestSeedSweepOverrides:
+    def test_values_parse_like_config_files(self):
+        sweep = load_seed_sweep()
+        overrides = sweep.parse_overrides(["reset_momentum=false", "mlp_hidden=4,5"])
+        assert overrides == {"reset_momentum": False, "mlp_hidden": (4, 5)}
+        config = sweep.load_configs(["mlp"], overrides)["mlp"]
+        assert config.reset_momentum is False
+
+    @pytest.mark.parametrize(
+        "item, key", [("bogus=1", "bogus"), ("reset_momentum=maybe", "reset_momentum")]
+    )
+    def test_bad_override_names_key_and_exits_2(self, item, key, capsys):
+        with pytest.raises(SystemExit) as stop:
+            load_seed_sweep().main(["--seeds", "1", "--models", "mlp", "--set", item])
+        assert stop.value.code == 2
+        assert f"'{key}'" in capsys.readouterr().err
