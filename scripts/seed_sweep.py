@@ -16,7 +16,9 @@ Usage: python scripts/seed_sweep.py [--seeds N] [--models mlp,lstm]
        [--set key=value ...]
 
 ``--set`` values are parsed as config files parse them; an unknown key, an
-unparsable value or an invalid config exits with status 2 naming the key.
+unparsable value or an invalid config exits with status 2 naming the key, and
+a model without a ``configs/default_<model>.cfg`` exits with status 2 naming
+the model.
 """
 
 from __future__ import annotations
@@ -56,13 +58,15 @@ def parse_overrides(items):
 
 
 def load_configs(models, overrides):
-    return {
-        model: replace(
-            ExperimentConfig.from_file(ROOT / "configs" / f"default_{model}.cfg"),
-            **overrides,
-        )
-        for model in models
-    }
+    """``configs/default_<model>.cfg`` plus ``overrides`` for each model;
+    raises ConfigError naming a model that has no such file."""
+    configs = {}
+    for model in models:
+        path = ROOT / "configs" / f"default_{model}.cfg"
+        if not path.is_file():
+            raise ConfigError("model", f"unknown model {model!r}, no {path.name}")
+        configs[model] = replace(ExperimentConfig.from_file(path), **overrides)
+    return configs
 
 
 def run_study(configs, seeds):

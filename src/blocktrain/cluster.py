@@ -167,9 +167,9 @@ class Cluster:
     a daemon thread that takes steps from its inbox queue and posts results
     back. The transport only selects how the coordinator averages
     (``_aggregate``), so both modes and both transports produce
-    bitwise-identical trajectories. A worker's failure is raised from
-    ``run_block`` with the block and worker named; the cluster is then only
-    fit to be closed.
+    bitwise-identical trajectories. A failure is raised from ``run_block``
+    with the block named, and the worker too when a worker step failed; the
+    cluster is then only fit to be closed.
 
     ``event_log``, when given, receives ``(phase, block_index, worker)``
     tuples from the workers; tests use it to check the barrier protocol.
@@ -277,11 +277,15 @@ class Cluster:
         theta_bar = self._aggregate(
             self._on_workers(block_index, lambda w: self._train(w, block_index))
         )
-        self.sync_state = bmuf_apply(self.sync_state, theta_bar)
-        if self.shadow_state is not None:
-            self.shadow_state = shadow_update(
-                self.shadow_state, self.sync_state.global_model
-            )
+        try:
+            self.sync_state = bmuf_apply(self.sync_state, theta_bar)
+            if self.shadow_state is not None:
+                self.shadow_state = shadow_update(
+                    self.shadow_state, self.sync_state.global_model
+                )
+        except Exception as exc:  # same prefix as a worker failure, minus the worker
+            exc.args = (f"block {block_index}: {exc}",)
+            raise
         new_model = self.sync_state.global_model
         self._on_workers(
             block_index, lambda w: self._adopt(w, new_model, block_index)

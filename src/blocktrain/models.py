@@ -1,10 +1,18 @@
 """Tiny dense and recurrent frame classifiers over flat parameter vectors.
 
-Both model families share one calling convention: a spec describes the
-architecture, a :class:`~blocktrain.numerics.ParamVector` holds every weight,
-and the functions below unpack views into that vector on the fly. The
-recurrent model runs exact backpropagation through time within each sequence
-and resets its state at sequence boundaries.
+A spec describes the architecture, a :class:`~blocktrain.numerics.ParamVector`
+holds every weight, and the functions below unpack views into that vector on
+the fly. Each family has one forward pass, which returns logits in the
+batch's frame order plus the state its backprop needs (``_mlp_forward``,
+``_lstm_forward``), and one backprop, which adds the gradient for a given
+logit error into a flat gradient vector (``_mlp_backprop``,
+``_lstm_backprop``). ``_forward`` is the one family dispatch behind the three
+public operations: :func:`forward_loss` is the forward plus the softmax
+cross-entropy, :func:`backward` adds the error signal and the backprop, and
+:func:`predict_frames` takes the argmax of the logits. The recurrent model
+runs exact backpropagation through time within each sequence, resets its
+state at sequence boundaries, and runs equal-length sequences as one batch;
+prediction keeps no BPTT caches.
 
 Parameter packing (row-major, in order):
 
@@ -23,7 +31,8 @@ do not depend on how many frames a worker happens to hold.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Sequence, Union
+from functools import partial
+from typing import Callable, Sequence, Union
 
 import numpy as np
 
@@ -249,47 +258,35 @@ def init_params(spec: ModelSpec, rng: np.random.Generator) -> ParamVector:
 # grouping equal-length sequences so the recurrence runs batched
 
 
-def _sequence_slices(lengths: Sequence[int]) -> list[tuple[int, int]]:
-    bounds = np.concatenate([[0], np.cumsum(lengths)])
-    return [(int(a), int(b)) for a, b in zip(bounds[:-1], bounds[1:])]
-
-
 def _length_groups(lengths: Sequence[int]) -> dict[int, list[tuple[int, int]]]:
     groups: dict[int, list[tuple[int, int]]] = {}
-    for lo, hi in _sequence_slices(lengths):
+    bounds = np.concatenate([[0], np.cumsum(lengths)])
+    for lo, hi in zip(bounds[:-1].tolist(), bounds[1:].tolist()):
         groups.setdefault(hi - lo, []).append((lo, hi))
     return groups
 
 
 # ---------------------------------------------------------------------------
-# MLP forward/backward
+# MLP forward/backprop
 
 
-def _mlp_pass(
-    spec: MlpSpec, values: np.ndarray, inputs: np.ndarray
-) -> tuple[list[np.ndarray], np.ndarray]:
+def _mlp_forward(
+    spec: MlpSpec, values: np.ndarray, batch: Batch
+) -> tuple[np.ndarray, list[np.ndarray]]:
+    """Logits plus every layer's input activations."""
     layers = _mlp_views(spec, values)
-    acts = [inputs]
+    acts = [batch.inputs]
     for idx, (w, b) in enumerate(layers):
         z = acts[-1] @ w + b
         acts.append(z if idx == len(layers) - 1 else _sigmoid(z))
-    return acts, acts[-1]
+    return acts.pop(), acts
 
 
-def _mlp_loss_grad(
-    spec: MlpSpec, values: np.ndarray, batch: Batch, want_grad: bool
-) -> tuple[float, np.ndarray | None]:
-    acts, logits = _mlp_pass(spec, values, batch.inputs)
-    probs, frame_ce = _softmax_ce(logits, batch.targets)
-    loss = float(frame_ce.sum() / batch.num_frames)
-    if not want_grad:
-        return loss, None
-    gvec = np.zeros(len(values))
-    gviews = _mlp_views(spec, gvec)
+def _mlp_backprop(
+    spec: MlpSpec, values: np.ndarray, acts: list, delta: np.ndarray, gvec: np.ndarray
+) -> None:
     layers = _mlp_views(spec, values)
-    delta = probs.copy()
-    delta[np.arange(batch.num_frames), batch.targets] -= 1.0
-    delta /= batch.num_frames
+    gviews = _mlp_views(spec, gvec)
     for idx in range(len(layers) - 1, -1, -1):
         w, _ = layers[idx]
         gw, gb = gviews[idx]
@@ -298,11 +295,10 @@ def _mlp_loss_grad(
         if idx > 0:
             a = acts[idx]
             delta = (delta @ w.T) * a * (1.0 - a)
-    return loss, gvec
 
 
 # ---------------------------------------------------------------------------
-# LSTM forward/backward (exact BPTT, grouped by sequence length)
+# LSTM forward/backprop (exact BPTT, grouped by sequence length)
 
 
 def _lstm_layer_forward(
@@ -369,70 +365,67 @@ def _lstm_layer_backward(
     return dx3
 
 
-def _lstm_loss_grad(
-    spec: LstmSpec, values: np.ndarray, batch: Batch, want_grad: bool
-) -> tuple[float, np.ndarray | None]:
+def _lstm_forward(
+    spec: LstmSpec, values: np.ndarray, batch: Batch, keep_cache: bool
+) -> tuple[np.ndarray, list[tuple]]:
+    """Logits in frame order plus, with ``keep_cache``, one entry per length
+    group: its sequence spans, top hidden states and per-layer BPTT caches."""
     layers, w_out, b_out = _lstm_views(spec, values)
-    gvec = np.zeros(len(values)) if want_grad else None
-    if want_grad:
-        gl, gw_out, gb_out = _lstm_views(spec, gvec)
-    total_ce = 0.0
-    for steps, spans in _length_groups(batch.seq_lengths).items():
-        x3 = np.stack([batch.inputs[lo:hi] for lo, hi in spans])
-        targets = np.concatenate([batch.targets[lo:hi] for lo, hi in spans])
-        hs_stack = []
-        caches_stack = []
-        inp = x3
-        for w, b in layers:
-            hs, caches = _lstm_layer_forward(w, b, inp, keep_cache=want_grad)
-            hs_stack.append(hs)
-            caches_stack.append(caches)
-            inp = hs
-        n_seq = len(spans)
-        h_top = inp.reshape(n_seq * steps, spec.hidden_dim)
-        logits = h_top @ w_out + b_out
-        probs, frame_ce = _softmax_ce(logits, targets)
-        total_ce += float(frame_ce.sum())
-        if want_grad:
-            delta = probs
-            delta[np.arange(targets.shape[0]), targets] -= 1.0
-            delta /= batch.num_frames
-            gw_out += h_top.T @ delta
-            gb_out += delta.sum(axis=0)
-            dh = (delta @ w_out.T).reshape(n_seq, steps, spec.hidden_dim)
-            for idx in range(spec.num_layers - 1, -1, -1):
-                gw, gb = gl[idx]
-                dh = _lstm_layer_backward(layers[idx][0], caches_stack[idx], dh, gw, gb)
-    return total_ce / batch.num_frames, gvec
-
-
-def _lstm_logits(spec: LstmSpec, values: np.ndarray, batch: Batch) -> np.ndarray:
-    """Logits for every frame, restored to the batch's frame order."""
-    layers, w_out, b_out = _lstm_views(spec, values)
-    out = np.empty((batch.num_frames, spec.output_dim))
+    logits = np.empty((batch.num_frames, spec.output_dim))
+    groups = []
     for steps, spans in _length_groups(batch.seq_lengths).items():
         inp = np.stack([batch.inputs[lo:hi] for lo, hi in spans])
+        caches = []
         for w, b in layers:
-            inp, _ = _lstm_layer_forward(w, b, inp, keep_cache=False)
+            inp, layer_caches = _lstm_layer_forward(w, b, inp, keep_cache)
+            caches.append(layer_caches)
         h_top = inp.reshape(len(spans) * steps, spec.hidden_dim)
-        logits = h_top @ w_out + b_out
+        group_logits = h_top @ w_out + b_out
         for row, (lo, hi) in enumerate(spans):
-            out[lo:hi] = logits[row * steps : (row + 1) * steps]
-    return out
+            logits[lo:hi] = group_logits[row * steps : (row + 1) * steps]
+        if keep_cache:
+            groups.append((spans, h_top, caches))
+    return logits, groups
+
+
+def _lstm_backprop(
+    spec: LstmSpec, values: np.ndarray, groups: list, delta: np.ndarray, gvec: np.ndarray
+) -> None:
+    layers, w_out, _ = _lstm_views(spec, values)
+    gl, gw_out, gb_out = _lstm_views(spec, gvec)
+    for spans, h_top, caches in groups:
+        d = np.concatenate([delta[lo:hi] for lo, hi in spans])
+        gw_out += h_top.T @ d
+        gb_out += d.sum(axis=0)
+        dh = (d @ w_out.T).reshape(len(spans), -1, spec.hidden_dim)
+        for idx in range(spec.num_layers - 1, -1, -1):
+            gw, gb = gl[idx]
+            dh = _lstm_layer_backward(layers[idx][0], caches[idx], dh, gw, gb)
 
 
 # ---------------------------------------------------------------------------
 # public operations
 
 
-def forward_loss(spec: ModelSpec, params: ParamVector, batch: Batch) -> float:
-    """Mean cross-entropy over all frames in the batch."""
+def _forward(
+    spec: ModelSpec, params: ParamVector, batch: Batch, keep_cache: bool = False
+) -> tuple[np.ndarray, Callable[[np.ndarray, np.ndarray], None]]:
+    """Logits in frame order plus ``backprop(delta, gvec)``, which adds the
+    gradient for the logit error ``delta`` into ``gvec``; it needs
+    ``keep_cache=True``, without which the recurrent model keeps no caches."""
     _check_call(spec, params, batch)
     if isinstance(spec, MlpSpec):
-        loss, _ = _mlp_loss_grad(spec, params.values, batch, want_grad=False)
-    else:
-        loss, _ = _lstm_loss_grad(spec, params.values, batch, want_grad=False)
-    return loss
+        logits, acts = _mlp_forward(spec, params.values, batch)
+        return logits, partial(_mlp_backprop, spec, params.values, acts)
+    logits, groups = _lstm_forward(spec, params.values, batch, keep_cache)
+    return logits, partial(_lstm_backprop, spec, params.values, groups)
+
+
+def forward_loss(spec: ModelSpec, params: ParamVector, batch: Batch) -> float:
+    """Mean cross-entropy over all frames in the batch."""
+    logits, _ = _forward(spec, params, batch)
+    _, frame_ce = _softmax_ce(logits, batch.targets)
+    return float(frame_ce.sum() / batch.num_frames)
 
 
 def backward(
@@ -443,12 +436,14 @@ def backward(
     The returned loss is bitwise the value :func:`forward_loss` computes on
     the same inputs; both run the identical forward code.
     """
-    _check_call(spec, params, batch)
-    if isinstance(spec, MlpSpec):
-        loss, gvec = _mlp_loss_grad(spec, params.values, batch, want_grad=True)
-    else:
-        loss, gvec = _lstm_loss_grad(spec, params.values, batch, want_grad=True)
-    return loss, ParamVector(frozen(gvec))
+    logits, backprop = _forward(spec, params, batch, keep_cache=True)
+    delta, frame_ce = _softmax_ce(logits, batch.targets)
+    # the error signal d(mean cross-entropy)/d(logits): (softmax - one-hot) / frames
+    delta[np.arange(batch.num_frames), batch.targets] -= 1.0
+    delta /= batch.num_frames
+    gvec = np.zeros(len(params))
+    backprop(delta, gvec)
+    return float(frame_ce.sum() / batch.num_frames), ParamVector(frozen(gvec))
 
 
 def predict_frames(
@@ -466,9 +461,5 @@ def predict_frames(
     inputs = np.asarray(inputs, dtype=np.float64)
     dummy = np.zeros(inputs.shape[:1], dtype=np.int64)
     batch = Batch(inputs, dummy, tuple(seq_lengths) if seq_lengths else ())
-    _check_call(spec, params, batch)
-    if isinstance(spec, MlpSpec):
-        _, logits = _mlp_pass(spec, params.values, batch.inputs)
-    else:
-        logits = _lstm_logits(spec, params.values, batch)
+    logits, _ = _forward(spec, params, batch)
     return np.argmax(logits, axis=1)

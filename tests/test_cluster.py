@@ -95,6 +95,12 @@ class TestClusterConfig:
             ClusterConfig(transport="ring")
 
 
+# worker 1's failures: a target class beyond the 2 outputs, and a velocity
+# near the float maximum that carries the worker's parameters past it
+CRASH = (Batch(np.zeros((2, 4)), np.array([0, 7])), 0.0, "out of range")
+DIVERGE = (Batch(np.zeros((2, 4)), np.array([0, 1])), 1.5e308, "non-finite")
+
+
 def tiny_setup(n_workers, transport, *, block_size=3, seed=99, eta=0.9, zeta=1.0):
     """A small 2-class problem with one batch per worker utterance."""
     rng = make_rng(seed)
@@ -229,20 +235,25 @@ class TestCluster:
             assert len(position[("applied", block)]) == 4
 
     @pytest.mark.parametrize(
-        "threaded, transport",
+        "threaded, transport, bad, velocity, error",
         [
-            pytest.param(True, "centralized", id="centralized"),
-            pytest.param(True, "decentralized", id="decentralized"),
-            pytest.param(False, "centralized", id="serial-centralized"),
-            pytest.param(False, "decentralized", id="serial-decentralized"),
+            pytest.param(True, "centralized", *CRASH, id="centralized"),
+            pytest.param(True, "decentralized", *CRASH, id="decentralized"),
+            pytest.param(False, "centralized", *CRASH, id="serial-centralized"),
+            pytest.param(False, "decentralized", *CRASH, id="serial-decentralized"),
+            pytest.param(True, "decentralized", *DIVERGE, id="diverged"),
+            pytest.param(False, "decentralized", *DIVERGE, id="serial-diverged"),
         ],
     )
-    def test_worker_exception_propagates(self, threaded, transport):
+    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
+    @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+    def test_worker_exception_propagates(
+        self, threaded, transport, bad, velocity, error
+    ):
         spec, workers, sync, shadow, config = tiny_setup(2, transport)
-        bad = Batch(np.zeros((2, 4)), np.array([0, 7]))  # class 7 beyond 2 outputs
-        workers[1] = WorkerState(
-            1, workers[1].model, workers[1].opt, (bad,), make_rng(0)
-        )
+        model = workers[1].model
+        opt = SgdState(pv(np.full(len(model), velocity)), 0.2, 0.9)
+        workers[1] = WorkerState(1, model, opt, (bad,), make_rng(0))
         outcome = []
 
         def body():
@@ -261,6 +272,19 @@ class TestCluster:
         assert not runner.is_alive(), "crashed worker hung the cluster"
         assert len(outcome) == 1
         assert isinstance(outcome[0], ValueError)
-        assert "out of range" in str(outcome[0])
+        assert error in str(outcome[0])
         assert "block 1" in str(outcome[0])
         assert "worker 1" in str(outcome[0])
+
+    @pytest.mark.parametrize("threaded", [True, False])
+    def test_coordinator_exception_names_block(self, threaded):
+        # block learning rate 1e300 overflows the filtered global update in
+        # block 2 (block 1 stays finite)
+        spec, workers, sync, shadow, config = tiny_setup(2, "centralized", zeta=1e300)
+        with Cluster(spec, workers, sync, shadow, config, threaded=threaded) as cluster:
+            with np.errstate(over="ignore", invalid="ignore"):
+                cluster.run_block()
+                with pytest.raises(ValueError) as failure:
+                    cluster.run_block()
+        message = "block 2: parameter vector contains non-finite values"
+        assert str(failure.value) == message

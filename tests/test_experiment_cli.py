@@ -1,8 +1,10 @@
 import importlib.util
-from dataclasses import fields
+from dataclasses import fields, replace
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from blocktrain.cli import main
 from blocktrain.experiment import (
@@ -137,6 +139,68 @@ class TestRunExperiment:
             run_experiment(
                 ExperimentConfig(**{**TINY.__dict__, "block_size": 64}), threaded=False
             )
+
+    @given(
+        overrides=st.fixed_dictionaries(
+            {
+                "model": st.sampled_from(["mlp", "lstm"]),
+                "mlp_hidden": st.lists(st.integers(1, 4), max_size=2).map(tuple),
+                "lstm_hidden": st.integers(1, 3),
+                "lstm_layers": st.integers(1, 2),
+                "num_classes": st.integers(1, 4),
+                "base_dim": st.integers(1, 3),
+                "stack": st.integers(1, 3),
+                "speakers": st.integers(4, 24),
+                "utterances_per_speaker": st.integers(1, 4),
+                "frames_per_utterance": st.integers(3, 6),
+                "num_workers": st.integers(1, 6),
+                "block_size": st.integers(1, 3),
+                "transport": st.sampled_from(["centralized", "decentralized"]),
+                "reset_momentum": st.booleans(),
+                "block_momentum": st.sampled_from([0.0, 0.5, 0.9]),
+                "block_learning_rate": st.sampled_from([0.5, 1.0, 2.0]),
+                "ema_rate": st.sampled_from([0.0, 0.9, 1.0]),
+                "learning_rate": st.sampled_from([0.01, 0.1, 0.3]),
+                "momentum": st.sampled_from([0.0, 0.5, 0.9]),
+                "seed": st.integers(0, 3),
+            }
+        ),
+        fractions=st.sampled_from([(0.8, 0.1, 0.1), (0.7, 0.1, 0.2), (0.4, 0.3, 0.3)]),
+        # at most one key set out of range
+        broken=st.none()
+        | st.sampled_from(
+            [
+                ("model", "gru"),
+                ("mlp_hidden", (0,)),
+                ("lstm_layers", 0),
+                ("num_classes", 0),
+                ("speakers", 2),
+                ("frames_per_utterance", 0),
+                ("train_fraction", 0.9),
+                ("num_workers", 0),
+                ("block_size", 0),
+                ("transport", "mesh"),
+                ("block_momentum", 1.0),
+                ("ema_rate", 1.5),
+                ("learning_rate", 0.0),
+                ("seed", -1),
+            ]
+        ),
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_small_config_runs_or_raises_config_error(
+        self, overrides, fractions, broken
+    ):
+        """Every small config either runs or raises ConfigError, whether it
+        fails validation or a run-time check (empty split, empty shard, too
+        few blocks per epoch); no third outcome."""
+        keys = ("train_fraction", "val_fraction", "test_fraction")
+        overrides.update(zip(keys, fractions))
+        overrides.update([broken] if broken else [])
+        try:
+            run_experiment(replace(TINY, epochs=1, **overrides), threaded=False)
+        except ConfigError:
+            pass
 
     def test_empty_shard_rejected(self):
         cfg = ExperimentConfig(
@@ -310,3 +374,11 @@ class TestSeedSweepOverrides:
             load_seed_sweep().main(["--seeds", "1", "--models", "mlp", "--set", item])
         assert stop.value.code == 2
         assert f"'{key}'" in capsys.readouterr().err
+
+    def test_unknown_model_names_model_and_exits_2(self, capsys):
+        with pytest.raises(SystemExit) as stop:
+            load_seed_sweep().main(["--seeds", "1", "--models", "mlp,gpt"])
+        assert stop.value.code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ")
+        assert "'gpt'" in err
