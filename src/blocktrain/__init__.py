@@ -46,7 +46,7 @@ from .models import (
     param_count,
     predict_frames,
 )
-from .numerics import ParamVector, axpy, make_rng, mean_reduce, substream
+from .numerics import ParamVector, make_rng, mean_reduce, substream
 from .optim import SgdState, sgd_step
 from .sync import (
     Checkpoint,
@@ -55,7 +55,6 @@ from .sync import (
     bmuf_sync,
     final_models,
     load_checkpoint,
-    model_average_sync,
     save_checkpoint,
     shadow_update,
 )

@@ -52,12 +52,19 @@ def _cmd_run(args: argparse.Namespace) -> int:
 
 
 def _read_final(run_dir: Path) -> dict[str, float]:
-    with open(run_dir / "final.csv", newline="") as fh:
+    path = run_dir / "final.csv"
+    with open(path, newline="") as fh:
         reader = csv.reader(fh)
         header = next(reader, None)
         if header != FINAL_HEADER.split(","):
-            raise OSError(f"{run_dir / 'final.csv'}: unexpected header {header}")
-        return {row[0]: float(row[1]) for row in reader if row}
+            raise OSError(f"{path}: unexpected header {header}")
+        fers = {}
+        for row in filter(None, reader):
+            try:
+                fers[row[0]] = float(row[1])
+            except (IndexError, ValueError):
+                raise OSError(f"{path}: malformed row {row}") from None
+        return fers
 
 
 def _cmd_compare(args: argparse.Namespace) -> int:

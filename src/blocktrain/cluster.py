@@ -5,10 +5,11 @@ every worker trains on its own shard stream, the coordinator averages the
 local models (whole vectors under the centralized transport, shard by shard
 under the decentralized one), the filtered global update runs, the shadows
 observe it, and the new global model is broadcast back before the next block
-may start. Serial mode runs the per-worker steps in ascending index order on
-the calling thread; threaded mode runs the same steps on long-lived worker
-threads, and queues carry only those steps and their results. Every average
-goes through one centered-mean kernel
+may start. Local training is the only per-worker step: serial mode runs it
+in ascending worker order on the calling thread, threaded mode on
+long-lived worker threads whose queues carry only block numbers and the
+resulting local models. The coordinator does everything else, the broadcast
+included, in both modes. Every average goes through one centered-mean kernel
 (:func:`~blocktrain.numerics.centered_mean`) that sums in ascending worker
 order, so all modes and transports produce bit-identical results.
 """
@@ -18,7 +19,7 @@ from __future__ import annotations
 import queue
 import threading
 from dataclasses import dataclass, field
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -160,19 +161,22 @@ class WorkerState:
 class Cluster:
     """Coordinator plus N workers; one ``run_block`` call per sync block.
 
-    ``run_block`` is the single definition of a block. Every per-worker part
-    of it is a step (a callable taking a :class:`WorkerState`) handed to
-    ``_on_workers``. With ``threaded=False`` the steps run in ascending
-    worker order on the calling thread. With ``threaded=True`` each worker is
-    a daemon thread that takes steps from its inbox queue and posts results
-    back. The transport only selects how the coordinator averages
-    (``_aggregate``), so both modes and both transports produce
-    bitwise-identical trajectories. A failure is raised from ``run_block``
-    with the block named, and the worker too when a worker step failed; the
-    cluster is then only fit to be closed.
+    ``run_block`` is the single definition of a block. The only part of it
+    that runs per worker is local training (``_local_models``). With
+    ``threaded=False`` the workers train in ascending order on the calling
+    thread. With ``threaded=True`` each worker is a daemon thread that takes
+    block numbers from its inbox queue and posts its local model back. The
+    coordinator then averages (``_aggregate``, the one place the transport
+    matters), filters, updates the shadows and installs the new global model
+    on every worker while they all wait at the barrier, so both modes and
+    both transports produce bitwise-identical trajectories. A failure is
+    raised from ``run_block`` with the block named, and the worker too when
+    local training failed; the cluster is then only fit to be closed.
 
     ``event_log``, when given, receives ``(phase, block_index, worker)``
-    tuples from the workers; tests use it to check the barrier protocol.
+    tuples: ``start`` events from the workers as they begin training and
+    ``applied`` events from the coordinator as it installs the broadcast;
+    tests use it to check the barrier protocol.
     """
 
     def __init__(
@@ -208,41 +212,27 @@ class Cluster:
         for t in self._threads:
             t.start()
 
-    # -- per-worker steps ----------------------------------------------
+    # -- worker side ---------------------------------------------------
 
-    def _train(self, w: WorkerState, block_index: int) -> ParamVector:
-        if self.event_log is not None:
-            self.event_log.append(("start", block_index, w.index))
-        w.run_local_block(self.spec, self.config.block_size)
-        return w.model
-
-    def _adopt(self, w: WorkerState, model: ParamVector, block_index: int) -> None:
-        w.model = model
-        if self.config.reset_momentum:
-            w.opt = SgdState.initial(
-                len(model), w.opt.learning_rate, w.opt.momentum
-            )
-        if self.event_log is not None:
-            self.event_log.append(("applied", block_index, w.index))
-
-    @staticmethod
-    def _attempt(step: Callable[[WorkerState], object], w: WorkerState) -> tuple:
+    def _train(self, w: WorkerState, block_index: int) -> tuple:
+        """One local block on ``w``, as ``(index, local model, error)``."""
         try:
-            return w.index, step(w), None
+            if self.event_log is not None:
+                self.event_log.append(("start", block_index, w.index))
+            w.run_local_block(self.spec, self.config.block_size)
+            return w.index, w.model, None
         except BaseException as exc:  # handed to the coordinator, which raises it
             return w.index, None, exc
 
     def _worker_loop(self, w: WorkerState) -> None:
         inbox = self._inboxes[w.index]
-        while (step := inbox.get()) is not None:
-            self._results.put(self._attempt(step, w))
+        while (block_index := inbox.get()) is not None:
+            self._results.put(self._train(w, block_index))
 
     # -- coordinator side ----------------------------------------------
 
-    def _on_workers(
-        self, block_index: int, step: Callable[[WorkerState], object]
-    ) -> list:
-        """``step(w)`` for every worker, results in ascending worker order.
+    def _local_models(self, block_index: int) -> list[ParamVector]:
+        """Every worker's model after one local block, in ascending worker order.
 
         Serial mode stops at the first failure; threaded mode raises the
         first failure to arrive, after all replies are in. Either way the
@@ -250,17 +240,17 @@ class Cluster:
         """
         if self.threaded:
             for inbox in self._inboxes:
-                inbox.put(step)
+                inbox.put(block_index)
             replies = [self._results.get() for _ in self.workers]
         else:
-            replies = (self._attempt(step, w) for w in self.workers)
-        results = [None] * len(self.workers)
-        for index, result, exc in replies:
+            replies = (self._train(w, block_index) for w in self.workers)
+        models = [None] * len(self.workers)
+        for index, model, exc in replies:
             if exc is not None:
                 exc.args = (f"block {block_index}, worker {index}: {exc}",)
                 raise exc
-            results[index] = result
-        return results
+            models[index] = model
+        return models
 
     def _aggregate(self, results: list[ParamVector]) -> ParamVector:
         if self.config.transport == "centralized":
@@ -271,12 +261,11 @@ class Cluster:
         """Train one block on every worker, synchronize, broadcast.
 
         Returns the new sync state; afterwards every worker's local model is
-        the freshly broadcast global model, while momentum buffers persist.
+        the freshly broadcast global model, and momentum buffers persist
+        unless ``reset_momentum`` is set.
         """
         block_index = self.sync_state.block_index + 1
-        theta_bar = self._aggregate(
-            self._on_workers(block_index, lambda w: self._train(w, block_index))
-        )
+        theta_bar = self._aggregate(self._local_models(block_index))
         try:
             self.sync_state = bmuf_apply(self.sync_state, theta_bar)
             if self.shadow_state is not None:
@@ -286,10 +275,17 @@ class Cluster:
         except Exception as exc:  # same prefix as a worker failure, minus the worker
             exc.args = (f"block {block_index}: {exc}",)
             raise
+        # every worker is idle at the barrier, so the coordinator installs the
+        # broadcast itself
         new_model = self.sync_state.global_model
-        self._on_workers(
-            block_index, lambda w: self._adopt(w, new_model, block_index)
-        )
+        for w in self.workers:
+            w.model = new_model
+            if self.config.reset_momentum:
+                w.opt = SgdState.initial(
+                    len(new_model), w.opt.learning_rate, w.opt.momentum
+                )
+            if self.event_log is not None:
+                self.event_log.append(("applied", block_index, w.index))
         return self.sync_state
 
     def close(self) -> None:

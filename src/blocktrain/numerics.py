@@ -20,7 +20,6 @@ import numpy as np
 
 __all__ = [
     "ParamVector",
-    "axpy",
     "centered_mean",
     "mean_reduce",
     "make_rng",
@@ -61,19 +60,6 @@ class ParamVector:
     @staticmethod
     def zeros(length: int) -> "ParamVector":
         return ParamVector(frozen(np.zeros(length)))
-
-
-def _require_same_length(x: ParamVector, y: ParamVector) -> None:
-    if len(x) != len(y):
-        raise ValueError(f"length mismatch: {len(x)} vs {len(y)}")
-
-
-def axpy(a: float, x: ParamVector, y: ParamVector) -> ParamVector:
-    """Return ``a * x + y`` as a new vector."""
-    if not np.isfinite(a):
-        raise ValueError(f"scale must be finite, got {a!r}")
-    _require_same_length(x, y)
-    return ParamVector(frozen(a * x.values + y.values))
 
 
 def centered_mean(parts: Sequence[np.ndarray]) -> np.ndarray:

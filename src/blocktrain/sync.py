@@ -27,7 +27,6 @@ __all__ = [
     "STRATEGIES",
     "bmuf_sync",
     "bmuf_apply",
-    "model_average_sync",
     "shadow_update",
     "final_models",
     "save_checkpoint",
@@ -138,11 +137,6 @@ def bmuf_sync(state: SyncState, local_models: Sequence[ParamVector]) -> SyncStat
     if len(local_models) == 0:
         raise ValueError("bmuf_sync needs at least one local model")
     return bmuf_apply(state, mean_reduce(local_models))
-
-
-def model_average_sync(local_models: Sequence[ParamVector]) -> ParamVector:
-    """Plain model averaging: the new global model is the workers' mean."""
-    return mean_reduce(local_models)
 
 
 def shadow_update(shadow: ShadowState, theta_g: ParamVector) -> ShadowState:

@@ -18,7 +18,7 @@ from blocktrain.cluster import decentralized_aggregate, make_shard_plan
 from blocktrain.experiment import ExperimentConfig, run_experiment
 from blocktrain.models import Batch, LstmSpec, MlpSpec, backward, init_params
 from blocktrain.numerics import ParamVector, make_rng, mean_reduce
-from blocktrain.sync import ShadowState, SyncState, bmuf_sync, model_average_sync, shadow_update
+from blocktrain.sync import ShadowState, SyncState, bmuf_sync, shadow_update
 
 from .oracles import finite_difference_gradient, max_rel_err
 
@@ -71,7 +71,7 @@ def test_01_degenerate_bmuf_equals_model_averaging():
                 block_index=case,
             )
             after = bmuf_sync(state, locals_)
-            average = model_average_sync(locals_)
+            average = mean_reduce(locals_)
             assert after.global_model.values.tobytes() == average.values.tobytes()
 
 

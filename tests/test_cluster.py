@@ -1,3 +1,4 @@
+import sys
 import threading
 
 import numpy as np
@@ -13,7 +14,7 @@ from blocktrain.cluster import (
     decentralized_aggregate,
     make_shard_plan,
 )
-from blocktrain.models import Batch, MlpSpec, init_params
+from blocktrain.models import Batch, LstmSpec, MlpSpec, init_params
 from blocktrain.numerics import ParamVector, make_rng, mean_reduce, substream
 from blocktrain.optim import SgdState, sgd_step
 from blocktrain.sync import ShadowState, SyncState
@@ -101,15 +102,22 @@ CRASH = (Batch(np.zeros((2, 4)), np.array([0, 7])), 0.0, "out of range")
 DIVERGE = (Batch(np.zeros((2, 4)), np.array([0, 1])), 1.5e308, "non-finite")
 
 
-def tiny_setup(n_workers, transport, *, block_size=3, seed=99, eta=0.9, zeta=1.0):
-    """A small 2-class problem with one batch per worker utterance."""
+MLP = MlpSpec((4, 5, 2))
+LSTM = LstmSpec(4, 3, num_layers=2, output_dim=2)
+
+
+def tiny_setup(
+    n_workers, transport, *, spec=MLP, block_size=3, seed=99, eta=0.9, zeta=1.0
+):
+    """A small 2-class problem with one batch (two 3-frame sequences) per
+    worker utterance."""
     rng = make_rng(seed)
-    spec = MlpSpec((4, 5, 2))
     theta0 = init_params(spec, rng)
     workers = []
     for i in range(n_workers):
         batches = tuple(
-            Batch(rng.normal(size=(6, 4)), rng.integers(2, size=6)) for _ in range(4)
+            Batch(rng.normal(size=(6, 4)), rng.integers(2, size=6), (3, 3))
+            for _ in range(4)
         )
         workers.append(
             WorkerState(
@@ -147,20 +155,44 @@ class TestCluster:
             assert all(m == final_global for m in worker_models)
 
     def test_threaded_matches_serial_bitwise(self):
-        for transport in ("centralized", "decentralized"):
-            serial, _, _ = run_blocks(False, transport)
-            threaded, _, _ = run_blocks(True, transport)
-            assert serial == threaded
+        for spec in (MLP, LSTM):
+            for transport in ("centralized", "decentralized"):
+                serial, _, _ = run_blocks(False, transport, spec=spec)
+                threaded, _, _ = run_blocks(True, transport, spec=spec)
+                assert serial == threaded
 
     def test_transports_match_bitwise(self):
-        a, _, _ = run_blocks(False, "centralized")
-        b, _, _ = run_blocks(False, "decentralized")
-        assert a == b
+        for spec in (MLP, LSTM):
+            a, _, _ = run_blocks(False, "centralized", spec=spec)
+            b, _, _ = run_blocks(False, "decentralized", spec=spec)
+            assert a == b
 
     def test_repeat_run_deterministic(self):
         a = run_blocks(True, "decentralized")
         b = run_blocks(True, "decentralized")
         assert a == b
+
+    def test_broadcast_reaches_threads_under_fast_switching(self):
+        # the coordinator writes each worker's model between blocks and the
+        # worker thread reads it in the next one; a worker that trained on a
+        # stale model would change the trajectory
+        serial = run_blocks(False, "decentralized", blocks=6, n_workers=6)
+        outcome = []
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            runner = threading.Thread(
+                target=lambda: outcome.append(
+                    run_blocks(True, "decentralized", blocks=6, n_workers=6)
+                ),
+                daemon=True,
+            )
+            runner.start()
+            runner.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not runner.is_alive(), "threaded cluster hung"
+        assert outcome == [serial]
 
     def test_single_worker_degenerate_equals_plain_sgd(self):
         # one worker, one batch, eta=0, zeta=1: a block of k steps must equal

@@ -333,6 +333,16 @@ class TestCliCompare:
         assert code == 1
         assert "error" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("row", ["bmuf", "bmuf,abc"])
+    def test_malformed_row_fails(self, tmp_path, capsys, row):
+        run_dir = tmp_path / "run"
+        run_dir.mkdir()
+        (run_dir / "final.csv").write_text(f"strategy,test_fer\n{row}\nma,0.2\n")
+        assert main(["compare", str(run_dir)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {run_dir / 'final.csv'}: ")
+        assert "malformed row" in err
+
 
 class TestArtifacts:
     def test_write_artifacts_layout(self, tmp_path):

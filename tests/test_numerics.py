@@ -4,7 +4,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from blocktrain.numerics import ParamVector, axpy, make_rng, mean_reduce, substream
+from blocktrain.numerics import ParamVector, make_rng, mean_reduce, substream
 
 finite_floats = st.floats(min_value=-1e6, max_value=1e6, allow_nan=False)
 
@@ -42,33 +42,6 @@ class TestParamVector:
 
     def test_zeros(self):
         assert np.array_equal(ParamVector.zeros(4).values, np.zeros(4))
-
-
-class TestAxpy:
-    def test_zero_scale(self):
-        out = axpy(0.0, ParamVector(np.array([5.0, 5.0])), ParamVector(np.array([1.0, 2.0])))
-        assert np.array_equal(out.values, [1.0, 2.0])
-
-    def test_identity(self):
-        out = axpy(1.0, ParamVector(np.array([1.0, 2.0])), ParamVector(np.zeros(2)))
-        assert np.array_equal(out.values, [1.0, 2.0])
-
-    def test_forced_values(self):
-        out = axpy(2.0, ParamVector(np.array([1.0, -1.0])), ParamVector(np.array([3.0, 3.0])))
-        assert np.array_equal(out.values, [5.0, 1.0])
-
-    def test_length_mismatch(self):
-        with pytest.raises(ValueError, match="length mismatch"):
-            axpy(1.0, ParamVector(np.zeros(2)), ParamVector(np.zeros(3)))
-
-    def test_non_finite_scale(self):
-        with pytest.raises(ValueError, match="finite"):
-            axpy(np.nan, ParamVector(np.zeros(2)), ParamVector(np.zeros(2)))
-
-    @given(x=vectors(7))
-    def test_axpy_one_x_zero_is_x(self, x):
-        out = axpy(1.0, ParamVector(x), ParamVector.zeros(7))
-        assert np.array_equal(out.values, x)
 
 
 class TestMeanReduce:

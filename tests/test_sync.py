@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from blocktrain.numerics import ParamVector, make_rng
+from blocktrain.numerics import ParamVector, make_rng, mean_reduce
 from blocktrain.sync import (
     Checkpoint,
     ShadowState,
@@ -10,7 +10,6 @@ from blocktrain.sync import (
     bmuf_sync,
     final_models,
     load_checkpoint,
-    model_average_sync,
     save_checkpoint,
     shadow_update,
 )
@@ -33,7 +32,7 @@ class TestBmuf:
         # a non-zero accumulator must not leak through when eta == 0
         state = bmuf_sync(state, locals_)
         state = bmuf_sync(state, locals_)
-        avg = model_average_sync(locals_)
+        avg = mean_reduce(locals_)
         assert state.global_model.values.tobytes() == avg.values.tobytes()
 
     def test_first_block_zero_initial_momentum(self):
@@ -89,7 +88,7 @@ class TestBmuf:
             pv(rng.normal(size=length)), pv(rng.normal(size=length)), 0.0, 1.0, 3
         )
         after = bmuf_sync(state, locals_)
-        avg = model_average_sync(locals_)
+        avg = mean_reduce(locals_)
         assert after.global_model.values.tobytes() == avg.values.tobytes()
 
     def test_geometric_decay_with_echoed_broadcast(self):
@@ -113,11 +112,11 @@ class TestBmuf:
 class TestModelAverage:
     def test_identical_models(self):
         v = pv([1.0, -2.0, 3.5])
-        out = model_average_sync([v, v, v])
+        out = mean_reduce([v, v, v])
         assert np.array_equal(out.values, v.values)
 
     def test_two_workers(self):
-        assert np.array_equal(model_average_sync([pv([0.0]), pv([4.0])]).values, [2.0])
+        assert np.array_equal(mean_reduce([pv([0.0]), pv([4.0])]).values, [2.0])
 
 
 class TestShadow:
