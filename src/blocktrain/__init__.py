@@ -52,7 +52,6 @@ from .sync import (
     Checkpoint,
     ShadowState,
     SyncState,
-    bmuf_sync,
     final_models,
     load_checkpoint,
     save_checkpoint,

@@ -61,9 +61,15 @@ def _read_final(run_dir: Path) -> dict[str, float]:
         fers = {}
         for row in filter(None, reader):
             try:
-                fers[row[0]] = float(row[1])
-            except (IndexError, ValueError):
+                strategy, raw = row
+                fer = float(raw)
+            except ValueError:
                 raise OSError(f"{path}: malformed row {row}") from None
+            if not 0.0 <= fer <= 1.0:  # nan fails this too
+                raise OSError(f"{path}: malformed row {row}: FER not in [0, 1]")
+            if strategy in fers:
+                raise OSError(f"{path}: malformed row {row}: duplicate strategy")
+            fers[strategy] = fer
         return fers
 
 

@@ -8,8 +8,9 @@ observe it, and the new global model is broadcast back before the next block
 may start. Local training is the only per-worker step: serial mode runs it
 in ascending worker order on the calling thread, threaded mode on
 long-lived worker threads whose queues carry only block numbers and the
-resulting local models. The coordinator does everything else, the broadcast
-included, in both modes. Every average goes through one centered-mean kernel
+resulting local models, read-only views of the workers' own parameter
+buffers. The coordinator does everything else, the broadcast included, in
+both modes. Every average goes through one centered-mean kernel
 (:func:`~blocktrain.numerics.centered_mean`) that sums in ascending worker
 order, so all modes and transports produce bit-identical results.
 """
@@ -124,7 +125,14 @@ def decentralized_aggregate(
 
 @dataclass
 class WorkerState:
-    """One worker: local model, optimizer buffer, and its shard stream.
+    """One worker: its parameter buffer, optimizer state and shard stream.
+
+    ``params`` is a writable copy of the initial parameter array, so no two
+    workers share a buffer; the local momentum steps update it and
+    ``opt.velocity`` in place, without a per-step finiteness check. The
+    parameters are checked once per block, when the coordinator receives
+    them as a :class:`ParamVector`: NaN and inf stay non-finite under later
+    steps, so a worker that diverged anywhere in the block fails in it.
 
     The stream cycles through the worker's shard, reshuffled with the
     worker-owned generator at the start of every pass, so the visit order is
@@ -132,7 +140,7 @@ class WorkerState:
     """
 
     index: int
-    model: ParamVector
+    params: np.ndarray
     opt: SgdState
     batches: tuple[Batch, ...]
     rng: np.random.Generator
@@ -142,6 +150,7 @@ class WorkerState:
     def __post_init__(self) -> None:
         if len(self.batches) == 0:
             raise ValueError(f"worker {self.index} has an empty shard")
+        self.params = np.array(self.params, dtype=np.float64)
         self.order = self.rng.permutation(len(self.batches))
 
     def next_batch(self) -> Batch:
@@ -154,8 +163,8 @@ class WorkerState:
 
     def run_local_block(self, spec: ModelSpec, block_size: int) -> None:
         for _ in range(block_size):
-            _, grad = backward(spec, self.model, self.next_batch())
-            self.model, self.opt = sgd_step(self.model, grad, self.opt)
+            _, grad = backward(spec, self.params, self.next_batch())
+            sgd_step(self.params, grad, self.opt)
 
 
 class Cluster:
@@ -165,13 +174,15 @@ class Cluster:
     that runs per worker is local training (``_local_models``). With
     ``threaded=False`` the workers train in ascending order on the calling
     thread. With ``threaded=True`` each worker is a daemon thread that takes
-    block numbers from its inbox queue and posts its local model back. The
-    coordinator then averages (``_aggregate``, the one place the transport
-    matters), filters, updates the shadows and installs the new global model
-    on every worker while they all wait at the barrier, so both modes and
-    both transports produce bitwise-identical trajectories. A failure is
-    raised from ``run_block`` with the block named, and the worker too when
-    local training failed; the cluster is then only fit to be closed.
+    block numbers from its inbox queue and posts its local model back, a
+    read-only view of its parameter buffer that is also the block's one
+    finiteness check. The coordinator then averages (``_aggregate``, the one
+    place the transport matters), filters, updates the shadows and copies
+    the new global model into every worker's buffer while they all wait at
+    the barrier, so both modes and both transports produce
+    bitwise-identical trajectories. A failure is raised from ``run_block``
+    with the block named, and the worker too when local training failed or
+    diverged; the cluster is then only fit to be closed.
 
     ``event_log``, when given, receives ``(phase, block_index, worker)``
     tuples: ``start`` events from the workers as they begin training and
@@ -220,7 +231,10 @@ class Cluster:
             if self.event_log is not None:
                 self.event_log.append(("start", block_index, w.index))
             w.run_local_block(self.spec, self.config.block_size)
-            return w.index, w.model, None
+            # a zero-copy read-only view whose validation is the block's one
+            # finiteness check; the coordinator reads it only before the
+            # broadcast overwrites the buffer
+            return w.index, ParamVector(frozen(w.params.view())), None
         except BaseException as exc:  # handed to the coordinator, which raises it
             return w.index, None, exc
 
@@ -260,9 +274,9 @@ class Cluster:
     def run_block(self) -> SyncState:
         """Train one block on every worker, synchronize, broadcast.
 
-        Returns the new sync state; afterwards every worker's local model is
-        the freshly broadcast global model, and momentum buffers persist
-        unless ``reset_momentum`` is set.
+        Returns the new sync state; afterwards every worker's parameter
+        buffer holds a copy of the freshly broadcast global model, and
+        momentum buffers persist unless ``reset_momentum`` is set.
         """
         block_index = self.sync_state.block_index + 1
         theta_bar = self._aggregate(self._local_models(block_index))
@@ -277,13 +291,11 @@ class Cluster:
             raise
         # every worker is idle at the barrier, so the coordinator installs the
         # broadcast itself
-        new_model = self.sync_state.global_model
+        new_model = self.sync_state.global_model.values
         for w in self.workers:
-            w.model = new_model
+            np.copyto(w.params, new_model)
             if self.config.reset_momentum:
-                w.opt = SgdState.initial(
-                    len(new_model), w.opt.learning_rate, w.opt.momentum
-                )
+                w.opt.velocity.fill(0.0)
             if self.event_log is not None:
                 self.event_log.append(("applied", block_index, w.index))
         return self.sync_state

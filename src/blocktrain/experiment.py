@@ -329,7 +329,7 @@ def run_experiment(
     workers = [
         WorkerState(
             i,
-            theta0,
+            theta0.values,
             SgdState.initial(len(theta0), config.learning_rate, config.momentum),
             tuple(
                 _utterance_batch(u.frames, u.labels, config.stack)

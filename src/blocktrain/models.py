@@ -1,18 +1,18 @@
 """Tiny dense and recurrent frame classifiers over flat parameter vectors.
 
 A spec describes the architecture, a :class:`~blocktrain.numerics.ParamVector`
-holds every weight, and the functions below unpack views into that vector on
-the fly. Each family has one forward pass, which returns logits in the
-batch's frame order plus the state its backprop needs (``_mlp_forward``,
-``_lstm_forward``), and one backprop, which adds the gradient for a given
-logit error into a flat gradient vector (``_mlp_backprop``,
-``_lstm_backprop``). ``_forward`` is the one family dispatch behind the three
-public operations: :func:`forward_loss` is the forward plus the softmax
-cross-entropy, :func:`backward` adds the error signal and the backprop, and
-:func:`predict_frames` takes the argmax of the logits. The recurrent model
-runs exact backpropagation through time within each sequence, resets its
-state at sequence boundaries, and runs equal-length sequences as one batch;
-prediction keeps no BPTT caches.
+(or a training worker's own parameter array) holds every weight, and the
+functions below unpack views into that vector on the fly. Each family has
+one forward pass, which returns logits in the batch's frame order plus the
+state its backprop needs (``_mlp_forward``, ``_lstm_forward``), and one
+backprop, which adds the gradient for a given logit error into a flat
+gradient vector (``_mlp_backprop``, ``_lstm_backprop``). ``_forward`` is the
+one family dispatch behind the three public operations: :func:`forward_loss`
+is the forward plus the softmax cross-entropy, :func:`backward` adds the
+error signal and the backprop, and :func:`predict_frames` takes the argmax
+of the logits. The recurrent model runs exact backpropagation through time
+within each sequence, resets its state at sequence boundaries, and runs
+equal-length sequences as one batch; prediction keeps no BPTT caches.
 
 Parameter packing (row-major, in order):
 
@@ -214,7 +214,9 @@ def _lstm_views(
     return layers, w_out, b_out
 
 
-def _check_call(spec: ModelSpec, params: ParamVector, batch: Batch) -> None:
+def _check_call(
+    spec: ModelSpec, params: ParamVector | np.ndarray, batch: Batch
+) -> None:
     """Argument checks shared by every public operation on a model."""
     expected = param_count(spec)
     if len(params) != expected:
@@ -408,17 +410,21 @@ def _lstm_backprop(
 
 
 def _forward(
-    spec: ModelSpec, params: ParamVector, batch: Batch, keep_cache: bool = False
+    spec: ModelSpec,
+    params: ParamVector | np.ndarray,
+    batch: Batch,
+    keep_cache: bool = False,
 ) -> tuple[np.ndarray, Callable[[np.ndarray, np.ndarray], None]]:
     """Logits in frame order plus ``backprop(delta, gvec)``, which adds the
     gradient for the logit error ``delta`` into ``gvec``; it needs
     ``keep_cache=True``, without which the recurrent model keeps no caches."""
     _check_call(spec, params, batch)
+    values = params.values if isinstance(params, ParamVector) else params
     if isinstance(spec, MlpSpec):
-        logits, acts = _mlp_forward(spec, params.values, batch)
-        return logits, partial(_mlp_backprop, spec, params.values, acts)
-    logits, groups = _lstm_forward(spec, params.values, batch, keep_cache)
-    return logits, partial(_lstm_backprop, spec, params.values, groups)
+        logits, acts = _mlp_forward(spec, values, batch)
+        return logits, partial(_mlp_backprop, spec, values, acts)
+    logits, groups = _lstm_forward(spec, values, batch, keep_cache)
+    return logits, partial(_lstm_backprop, spec, values, groups)
 
 
 def forward_loss(spec: ModelSpec, params: ParamVector, batch: Batch) -> float:
@@ -429,12 +435,14 @@ def forward_loss(spec: ModelSpec, params: ParamVector, batch: Batch) -> float:
 
 
 def backward(
-    spec: ModelSpec, params: ParamVector, batch: Batch
-) -> tuple[float, ParamVector]:
+    spec: ModelSpec, params: ParamVector | np.ndarray, batch: Batch
+) -> tuple[float, np.ndarray]:
     """Loss plus its gradient with respect to every parameter.
 
-    The returned loss is bitwise the value :func:`forward_loss` computes on
-    the same inputs; both run the identical forward code.
+    ``params`` may be a worker's own writable parameter array. The gradient
+    is a fresh array the caller owns. The returned loss is bitwise the value
+    :func:`forward_loss` computes on the same inputs; both run the identical
+    forward code.
     """
     logits, backprop = _forward(spec, params, batch, keep_cache=True)
     delta, frame_ce = _softmax_ce(logits, batch.targets)
@@ -443,7 +451,7 @@ def backward(
     delta /= batch.num_frames
     gvec = np.zeros(len(params))
     backprop(delta, gvec)
-    return float(frame_ce.sum() / batch.num_frames), ParamVector(frozen(gvec))
+    return float(frame_ce.sum() / batch.num_frames), gvec
 
 
 def predict_frames(

@@ -1,9 +1,14 @@
 """Flat parameter vectors and the deterministic arithmetic every strategy shares.
 
-All model state in this package travels as a :class:`ParamVector`: an
-immutable, finite, 1-D float64 array holding every trainable parameter of one
-model. Reductions always sum in ascending worker order, so the centralized
-mean and the shard-by-shard mean agree bit for bit.
+Model state that crosses the block barrier travels as a :class:`ParamVector`:
+an immutable, finite, 1-D float64 array holding every trainable parameter of
+one model. Local models handed to the coordinator, the global model, the
+filter accumulator, the shadows and the checkpoints are all ParamVectors. A
+worker's own parameter and velocity buffers are plain writable arrays that
+its momentum steps update in place; they become a ParamVector (a zero-copy
+read-only view, validated once) only when handed over at the end of a block.
+Reductions always sum in ascending worker order, so the centralized mean and
+the shard-by-shard mean agree bit for bit.
 
 Random streams come from numpy's counter-based Philox generator, keyed by a
 64-bit seed plus an optional tuple of non-negative integer tags. The same

@@ -1,4 +1,10 @@
-"""Mini-batch SGD with classical momentum, one state per worker."""
+"""Mini-batch SGD with classical momentum, one state per worker.
+
+The step runs in place on the worker's own parameter and velocity arrays and
+allocates nothing. It does not check finiteness: NaN and inf never turn
+finite again under this update, so the worker's once-per-block check (see
+:class:`~blocktrain.cluster.WorkerState`) still sees every divergence.
+"""
 
 from __future__ import annotations
 
@@ -6,16 +12,18 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .numerics import ParamVector, frozen
-
 __all__ = ["SgdState", "sgd_step"]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SgdState:
-    """Velocity buffer plus hyperparameters; owned exclusively by one worker."""
+    """Velocity buffer plus hyperparameters; owned exclusively by one worker.
 
-    velocity: ParamVector
+    The hyperparameters are fixed; the velocity is a writable 1-D float64
+    array (a copy of the one given) that :func:`sgd_step` updates in place.
+    """
+
+    velocity: np.ndarray
     learning_rate: float
     momentum: float = 0.0
 
@@ -24,28 +32,31 @@ class SgdState:
             raise ValueError(f"learning_rate must be positive, got {self.learning_rate}")
         if not (0.0 <= self.momentum < 1.0):
             raise ValueError(f"momentum must be in [0, 1), got {self.momentum}")
+        velocity = np.array(self.velocity, dtype=np.float64)
+        if velocity.ndim != 1:
+            raise ValueError(f"velocity must be 1-D, got shape {velocity.shape}")
+        object.__setattr__(self, "velocity", velocity)
 
     @staticmethod
     def initial(length: int, learning_rate: float, momentum: float = 0.0) -> "SgdState":
-        return SgdState(ParamVector.zeros(length), learning_rate, momentum)
+        return SgdState(np.zeros(length), learning_rate, momentum)
 
 
-def sgd_step(
-    params: ParamVector, grad: ParamVector, state: SgdState
-) -> tuple[ParamVector, SgdState]:
-    """One momentum step.
+def sgd_step(params: np.ndarray, grad: np.ndarray, state: SgdState) -> None:
+    """One momentum step, in place on ``params`` and ``state.velocity``.
 
     ``velocity' = momentum * velocity - learning_rate * grad`` and
-    ``params' = params + velocity'``.
+    ``params' = params + velocity'``, evaluated in that operation order, so
+    the result is bitwise the out-of-place expression. ``grad`` is scratch:
+    it is scaled by the learning rate in place.
     """
-    if len(params) != len(grad) or len(params) != len(state.velocity):
+    velocity = state.velocity
+    if len(params) != len(grad) or len(params) != len(velocity):
         raise ValueError(
             f"length mismatch: params {len(params)}, grad {len(grad)}, "
-            f"velocity {len(state.velocity)}"
+            f"velocity {len(velocity)}"
         )
-    velocity = state.momentum * state.velocity.values - state.learning_rate * grad.values
-    new_params = ParamVector(frozen(params.values + velocity))
-    new_state = SgdState(
-        ParamVector(frozen(velocity)), state.learning_rate, state.momentum
-    )
-    return new_params, new_state
+    velocity *= state.momentum
+    grad *= state.learning_rate
+    velocity -= grad
+    params += velocity

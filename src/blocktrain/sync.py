@@ -14,18 +14,16 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from pathlib import Path
-from typing import Sequence
 
 import numpy as np
 
-from .numerics import ParamVector, frozen, mean_reduce
+from .numerics import ParamVector, frozen
 
 __all__ = [
     "SyncState",
     "ShadowState",
     "Checkpoint",
     "STRATEGIES",
-    "bmuf_sync",
     "bmuf_apply",
     "shadow_update",
     "final_models",
@@ -130,13 +128,6 @@ def bmuf_apply(state: SyncState, theta_bar: ParamVector) -> SyncState:
         zeta,
         state.block_index + 1,
     )
-
-
-def bmuf_sync(state: SyncState, local_models: Sequence[ParamVector]) -> SyncState:
-    """Average the workers' models and apply the filtered update."""
-    if len(local_models) == 0:
-        raise ValueError("bmuf_sync needs at least one local model")
-    return bmuf_apply(state, mean_reduce(local_models))
 
 
 def shadow_update(shadow: ShadowState, theta_g: ParamVector) -> ShadowState:

@@ -122,7 +122,7 @@ def tiny_setup(
         workers.append(
             WorkerState(
                 i,
-                theta0,
+                theta0.values,
                 SgdState.initial(len(theta0), 0.2, 0.5),
                 batches,
                 substream(seed, 5, i),
@@ -143,7 +143,7 @@ def run_blocks(threaded, transport, blocks=4, n_workers=3, event_log=None, **kw)
         for _ in range(blocks):
             state = cluster.run_block()
             trajectory.append(state.global_model.values.tobytes())
-        worker_models = [w.model.values.tobytes() for w in cluster.workers]
+        worker_models = [w.params.tobytes() for w in cluster.workers]
         final_global = cluster.sync_state.global_model.values.tobytes()
     return trajectory, worker_models, final_global
 
@@ -203,7 +203,11 @@ class TestCluster:
         batch = Batch(rng.normal(size=(5, 3)), rng.integers(2, size=5))
         k = 6
         worker = WorkerState(
-            0, theta0, SgdState.initial(len(theta0), 0.1, 0.7), (batch,), substream(1, 5, 0)
+            0,
+            theta0.values,
+            SgdState.initial(len(theta0), 0.1, 0.7),
+            (batch,),
+            substream(1, 5, 0),
         )
         sync = SyncState.initial(theta0, 0.0, 1.0)
         config = ClusterConfig(1, k, "centralized")
@@ -211,20 +215,29 @@ class TestCluster:
             state = cluster.run_block()
         from blocktrain.models import backward
 
-        params = theta0
+        params = theta0.values.copy()
         opt = SgdState.initial(len(theta0), 0.1, 0.7)
         for _ in range(k):
             _, grad = backward(spec, params, batch)
-            params, opt = sgd_step(params, grad, opt)
-        assert state.global_model.values.tobytes() == params.values.tobytes()
+            sgd_step(params, grad, opt)
+        assert state.global_model.values.tobytes() == params.tobytes()
+        assert worker.params.tobytes() == params.tobytes()
+        assert worker.opt.velocity.tobytes() == opt.velocity.tobytes()
 
     def test_momentum_persists_across_blocks(self):
-        spec, workers, sync, shadow, config = tiny_setup(2, "centralized")
-        with Cluster(spec, workers, sync, shadow, config, threaded=False) as cluster:
-            cluster.run_block()
-            velocities = [w.opt.velocity.values.copy() for w in cluster.workers]
-            assert any(np.any(v != 0) for v in velocities)
-            cluster.run_block()
+        for threaded in (False, True):
+            spec, workers, sync, shadow, config = tiny_setup(2, "centralized")
+            buffers = [w.opt.velocity for w in workers]
+            with Cluster(
+                spec, workers, sync, shadow, config, threaded=threaded
+            ) as cluster:
+                cluster.run_block()
+                velocities = [w.opt.velocity.copy() for w in cluster.workers]
+                assert all(np.any(v != 0) for v in velocities)
+                cluster.run_block()
+                for w, buffer, before in zip(cluster.workers, buffers, velocities):
+                    assert w.opt.velocity is buffer
+                    assert not np.array_equal(w.opt.velocity, before)
 
     def test_momentum_reset_on_broadcast_when_configured(self):
         for threaded in (False, True):
@@ -238,11 +251,27 @@ class TestCluster:
             with Cluster(
                 spec, workers, sync, shadow, config, threaded=threaded
             ) as cluster:
+                buffers = [w.opt.velocity for w in cluster.workers]
                 cluster.run_block()
-                for w in cluster.workers:
-                    assert np.array_equal(
-                        w.opt.velocity.values, np.zeros(len(w.model))
-                    )
+                for w, buffer in zip(cluster.workers, buffers):
+                    assert w.opt.velocity is buffer
+                    assert np.array_equal(w.opt.velocity, np.zeros(len(w.params)))
+
+    def test_workers_share_no_buffers(self):
+        # every worker trains in place on its own copy of theta0; a shared
+        # buffer would let one worker's steps leak into another's model
+        for threaded in (False, True):
+            spec, workers, sync, shadow, config = tiny_setup(3, "decentralized")
+            with Cluster(
+                spec, workers, sync, shadow, config, threaded=threaded
+            ) as cluster:
+                for _ in range(2):
+                    buffers = [b for w in workers for b in (w.params, w.opt.velocity)]
+                    buffers.append(cluster.sync_state.global_model.values)
+                    for i, a in enumerate(buffers):
+                        for b in buffers[i + 1 :]:
+                            assert not np.shares_memory(a, b)
+                    cluster.run_block()
 
     def test_worker_count_mismatch(self):
         spec, workers, sync, shadow, config = tiny_setup(2, "centralized")
@@ -251,7 +280,7 @@ class TestCluster:
 
     def test_empty_shard_rejected(self):
         with pytest.raises(ValueError, match="empty shard"):
-            WorkerState(0, pv([0.0]), SgdState.initial(1, 0.1), (), make_rng(0))
+            WorkerState(0, np.zeros(1), SgdState.initial(1, 0.1), (), make_rng(0))
 
     @pytest.mark.parametrize("transport", ["centralized", "decentralized"])
     def test_barrier_no_worker_starts_next_block_early(self, transport):
@@ -283,9 +312,9 @@ class TestCluster:
         self, threaded, transport, bad, velocity, error
     ):
         spec, workers, sync, shadow, config = tiny_setup(2, transport)
-        model = workers[1].model
-        opt = SgdState(pv(np.full(len(model), velocity)), 0.2, 0.9)
-        workers[1] = WorkerState(1, model, opt, (bad,), make_rng(0))
+        params = workers[1].params
+        opt = SgdState(np.full(len(params), velocity), 0.2, 0.9)
+        workers[1] = WorkerState(1, params, opt, (bad,), make_rng(0))
         outcome = []
 
         def body():

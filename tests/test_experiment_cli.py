@@ -333,7 +333,10 @@ class TestCliCompare:
         assert code == 1
         assert "error" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("row", ["bmuf", "bmuf,abc"])
+    @pytest.mark.parametrize(
+        "row",
+        ["bmuf", "bmuf,abc", "bmuf,0.2,junk", "ma,0.3", "bmuf,-3", "bmuf,1.5", "bmuf,nan"],
+    )
     def test_malformed_row_fails(self, tmp_path, capsys, row):
         run_dir = tmp_path / "run"
         run_dir.mkdir()

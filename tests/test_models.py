@@ -169,7 +169,7 @@ class TestBackward:
         batch = random_batch(rng, frames, dim, classes, lengths)
         _, grad = backward(spec, params, batch)
         numeric = finite_difference_gradient(spec, params, batch)
-        assert max_rel_err(grad.values, numeric) <= 1e-5
+        assert max_rel_err(grad, numeric) <= 1e-5
 
     def test_loss_equals_forward_loss_bitwise(self):
         rng = make_rng(23)
@@ -189,7 +189,7 @@ class TestBackward:
         y = rng.integers(3, size=6)
         _, g1 = backward(spec, params, Batch(x, y))
         _, g2 = backward(spec, params, Batch(np.concatenate([x, x]), np.concatenate([y, y])))
-        np.testing.assert_allclose(g2.values, g1.values, rtol=1e-10, atol=1e-13)
+        np.testing.assert_allclose(g2, g1, rtol=1e-10, atol=1e-13)
 
     def test_duplicated_sequences_same_gradient(self):
         rng = make_rng(31)
@@ -201,7 +201,7 @@ class TestBackward:
         _, g2 = backward(
             spec, params, Batch(np.concatenate([x, x]), np.concatenate([y, y]), (5, 5))
         )
-        np.testing.assert_allclose(g2.values, g1.values, rtol=1e-10, atol=1e-13)
+        np.testing.assert_allclose(g2, g1, rtol=1e-10, atol=1e-13)
 
     @given(kind=st.sampled_from(["mlp", "lstm"]), seed=st.integers(0, 2**31 - 1))
     @settings(max_examples=20, deadline=None)
@@ -222,7 +222,7 @@ class TestBackward:
         batch = random_batch(rng, sum(lengths) or 8, dim, classes, lengths)
         _, grad = backward(spec, params, batch)
         numeric = finite_difference_gradient(spec, params, batch)
-        assert max_rel_err(grad.values, numeric) <= 1e-5
+        assert max_rel_err(grad, numeric) <= 1e-5
 
 
 class TestPredict:

@@ -4,7 +4,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from blocktrain.numerics import ParamVector
 from blocktrain.optim import SgdState, sgd_step
 
 from .oracles import sgd_reference
@@ -12,44 +11,69 @@ from .oracles import sgd_reference
 finite = st.floats(min_value=-100, max_value=100, allow_nan=False)
 
 
-def pv(*values):
-    return ParamVector(np.array(values, dtype=float))
+def arr(*values):
+    return np.array(values, dtype=float)
 
 
 class TestValidation:
     def test_learning_rate_positive(self):
         with pytest.raises(ValueError, match="learning_rate"):
-            SgdState(ParamVector.zeros(2), 0.0)
+            SgdState(np.zeros(2), 0.0)
 
     def test_momentum_range(self):
         with pytest.raises(ValueError, match="momentum"):
-            SgdState(ParamVector.zeros(2), 0.1, 1.0)
+            SgdState(np.zeros(2), 0.1, 1.0)
         with pytest.raises(ValueError, match="momentum"):
-            SgdState(ParamVector.zeros(2), 0.1, -0.1)
+            SgdState(np.zeros(2), 0.1, -0.1)
 
     def test_length_mismatch(self):
         state = SgdState.initial(2, 0.1)
         with pytest.raises(ValueError, match="length mismatch"):
-            sgd_step(pv(1.0, 2.0), pv(1.0), state)
+            sgd_step(arr(1.0, 2.0), arr(1.0), state)
+
+    def test_velocity_is_an_owned_copy(self):
+        given_velocity = arr(1.0, 2.0)
+        state = SgdState(given_velocity, 0.1, 0.5)
+        assert not np.shares_memory(state.velocity, given_velocity)
+        assert state.velocity.flags.writeable
 
 
 class TestStep:
     def test_plain_sgd(self):
-        params, state = sgd_step(pv(1.0), pv(10.0), SgdState.initial(1, 0.1, 0.0))
-        assert np.array_equal(params.values, [0.0])
-        assert np.array_equal(state.velocity.values, [-1.0])
+        params, state = arr(1.0), SgdState.initial(1, 0.1, 0.0)
+        sgd_step(params, arr(10.0), state)
+        assert np.array_equal(params, [0.0])
+        assert np.array_equal(state.velocity, [-1.0])
 
     def test_zero_grad_zero_velocity_is_fixed_point(self):
-        start = pv(3.0, -2.0)
-        params, state = sgd_step(start, ParamVector.zeros(2), SgdState.initial(2, 0.5, 0.9))
-        assert np.array_equal(params.values, start.values)
-        assert np.array_equal(state.velocity.values, np.zeros(2))
+        params, state = arr(3.0, -2.0), SgdState.initial(2, 0.5, 0.9)
+        sgd_step(params, np.zeros(2), state)
+        assert np.array_equal(params, [3.0, -2.0])
+        assert np.array_equal(state.velocity, np.zeros(2))
 
     def test_pure_momentum_decay(self):
-        state = SgdState(pv(1.0), 1.0, 0.9)
-        params, state = sgd_step(pv(0.0), pv(0.0), state)
-        assert np.array_equal(state.velocity.values, [0.9])
-        assert np.array_equal(params.values, [0.9])
+        params, state = arr(0.0), SgdState(arr(1.0), 1.0, 0.9)
+        sgd_step(params, arr(0.0), state)
+        assert np.array_equal(state.velocity, [0.9])
+        assert np.array_equal(params, [0.9])
+
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        lr=st.floats(min_value=1e-3, max_value=2.0),
+        momentum=st.floats(min_value=0.0, max_value=0.99),
+        length=st.integers(min_value=1, max_value=300),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_in_place_step_equals_out_of_place_bitwise(self, seed, lr, momentum, length):
+        # the in-place sequence must reproduce p + (m*v - lr*g) bit for bit
+        rng = np.random.default_rng(seed)
+        p, v, g = (rng.normal(size=length) * rng.uniform(0.1, 10.0) for _ in range(3))
+        want_v = momentum * v - lr * g
+        want_p = p + want_v
+        params, grad, state = p.copy(), g.copy(), SgdState(v, lr, momentum)
+        sgd_step(params, grad, state)
+        assert params.tobytes() == want_p.tobytes()
+        assert state.velocity.tobytes() == want_v.tobytes()
 
     @given(
         seed=st.integers(0, 2**32 - 1),
@@ -60,20 +84,19 @@ class TestStep:
     @settings(max_examples=50, deadline=None)
     def test_recursion_matches_scalar_reference(self, seed, lr, momentum, steps):
         rng = np.random.default_rng(seed)
-        params = ParamVector(rng.normal(size=4))
+        params0 = rng.normal(size=4)
         grads = [rng.normal(size=4) for _ in range(steps)]
         state = SgdState.initial(4, lr, momentum)
-        current = params
+        current = params0.copy()
         for g in grads:
-            current, state = sgd_step(current, ParamVector(g), state)
-        want = sgd_reference(lr, momentum, params.values, grads)
-        np.testing.assert_allclose(current.values, want, rtol=1e-12, atol=1e-13)
+            sgd_step(current, g.copy(), state)
+        want = sgd_reference(lr, momentum, params0, grads)
+        np.testing.assert_allclose(current, want, rtol=1e-12, atol=1e-13)
 
     @given(x=arrays(np.float64, (3,), elements=finite), c=st.sampled_from([0.5, 2.0, 4.0, 1024.0]))
     def test_scaling_invariance_without_momentum(self, x, c):
         # scaling grad by c and lr by 1/c is a no-op; exact for powers of two
-        grad = ParamVector(x)
-        params = ParamVector.zeros(3)
-        a, _ = sgd_step(params, grad, SgdState.initial(3, 0.25, 0.0))
-        b, _ = sgd_step(params, ParamVector(c * x), SgdState.initial(3, 0.25 / c, 0.0))
-        assert np.array_equal(a.values, b.values)
+        a, b = np.zeros(3), np.zeros(3)
+        sgd_step(a, x.copy(), SgdState.initial(3, 0.25, 0.0))
+        sgd_step(b, c * x, SgdState.initial(3, 0.25 / c, 0.0))
+        assert np.array_equal(a, b)

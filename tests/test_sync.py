@@ -7,7 +7,7 @@ from blocktrain.sync import (
     Checkpoint,
     ShadowState,
     SyncState,
-    bmuf_sync,
+    bmuf_apply,
     final_models,
     load_checkpoint,
     save_checkpoint,
@@ -30,21 +30,21 @@ class TestBmuf:
         locals_ = [pv(rng.normal(size=9)) for _ in range(4)]
         state = SyncState.initial(pv(rng.normal(size=9)), 0.0, 1.0)
         # a non-zero accumulator must not leak through when eta == 0
-        state = bmuf_sync(state, locals_)
-        state = bmuf_sync(state, locals_)
+        state = bmuf_apply(state, mean_reduce(locals_))
+        state = bmuf_apply(state, mean_reduce(locals_))
         avg = mean_reduce(locals_)
         assert state.global_model.values.tobytes() == avg.values.tobytes()
 
     def test_first_block_zero_initial_momentum(self):
-        state = bmuf_sync(fresh_state([0.0], 0.9, 1.0), [pv([2.0])])
+        state = bmuf_apply(fresh_state([0.0], 0.9, 1.0), mean_reduce([pv([2.0])]))
         assert np.array_equal(state.delta.values, [2.0])
         assert np.array_equal(state.global_model.values, [2.0])
         assert state.block_index == 1
 
     def test_second_block_hand_recursion(self):
         state = fresh_state([0.0], 0.9, 1.0)
-        state = bmuf_sync(state, [pv([2.0])])
-        state = bmuf_sync(state, [pv([2.0])])
+        state = bmuf_apply(state, mean_reduce([pv([2.0])]))
+        state = bmuf_apply(state, mean_reduce([pv([2.0])]))
         assert state.delta.values[0] == pytest.approx(1.8, abs=1e-12)
         assert state.global_model.values[0] == pytest.approx(3.8, abs=1e-12)
 
@@ -55,7 +55,7 @@ class TestBmuf:
         state = fresh_state(theta0, 0.7, 0.9)
         got = []
         for mean in means:
-            state = bmuf_sync(state, [pv(mean)])
+            state = bmuf_apply(state, mean_reduce([pv(mean)]))
             got.append(state.global_model.values)
         want = bmuf_reference(0.7, 0.9, theta0, means)
         for g, w in zip(got, want):
@@ -63,11 +63,11 @@ class TestBmuf:
 
     def test_empty_worker_list(self):
         with pytest.raises(ValueError, match="at least one"):
-            bmuf_sync(fresh_state([0.0], 0.9, 1.0), [])
+            bmuf_apply(fresh_state([0.0], 0.9, 1.0), mean_reduce([]))
 
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError, match="length mismatch"):
-            bmuf_sync(fresh_state([0.0], 0.9, 1.0), [pv([1.0, 2.0])])
+            bmuf_apply(fresh_state([0.0], 0.9, 1.0), mean_reduce([pv([1.0, 2.0])]))
 
     def test_validation(self):
         with pytest.raises(ValueError, match="block_momentum"):
@@ -87,7 +87,7 @@ class TestBmuf:
         state = SyncState(
             pv(rng.normal(size=length)), pv(rng.normal(size=length)), 0.0, 1.0, 3
         )
-        after = bmuf_sync(state, locals_)
+        after = bmuf_apply(state, mean_reduce(locals_))
         avg = mean_reduce(locals_)
         assert after.global_model.values.tobytes() == avg.values.tobytes()
 
@@ -100,11 +100,11 @@ class TestBmuf:
         for eta in (0.5, 0.9, 0.99):
             theta0 = rng.normal(size=5)
             state = fresh_state(theta0, eta, 1.0)
-            state = bmuf_sync(state, [pv(theta0 + rng.normal(size=5))])
+            state = bmuf_apply(state, mean_reduce([pv(theta0 + rng.normal(size=5))]))
             delta1 = state.delta.values.copy()
             for t in range(2, 51):
                 prev_model = state.global_model
-                state = bmuf_sync(state, [prev_model])
+                state = bmuf_apply(state, mean_reduce([prev_model]))
                 g_t = state.delta.values - eta ** (t - 1) * delta1
                 np.testing.assert_allclose(g_t, 0.0, atol=1e-12)
 
@@ -203,7 +203,7 @@ class TestFinalModels:
         sync = SyncState.initial(theta0, 0.0, 1.0)
         shadow = ShadowState.initial(theta0, ema_rate=0.0)
         locals_ = [pv(rng.normal(size=4)) for _ in range(3)]
-        sync = bmuf_sync(sync, locals_)
+        sync = bmuf_apply(sync, mean_reduce(locals_))
         shadow = shadow_update(shadow, sync.global_model)
         finals = final_models(shadow, sync)
         assert finals["bmuf"].values.tobytes() == finals["ma"].values.tobytes()
