@@ -29,8 +29,6 @@ import time
 from dataclasses import replace
 from pathlib import Path
 
-import numpy as np
-
 ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "src"))
 
@@ -40,10 +38,7 @@ from blocktrain.experiment import (
     parse_value,
     run_experiment,
 )
-
-
-def curve_spread(records, strategy):
-    return float(np.std([r.fer for r in records if r.strategy == strategy]))
+from blocktrain.metrics import curve_spread, shadow_verdicts
 
 
 def parse_overrides(items):
@@ -82,8 +77,9 @@ def run_study(configs, seeds):
             final = result.final_test_fer
             spread_ma = curve_spread(result.test_records, "ma")
             spread_ema = curve_spread(result.test_records, "ema")
-            ema_beats_bmuf += final["ema"] <= final["bmuf"]
-            ema_steadier += spread_ema < spread_ma
+            beats, steadier = shadow_verdicts(final, result.test_records)
+            ema_beats_bmuf += beats
+            ema_steadier += steadier
             print(
                 f"{seed:<4d}  {final['bmuf']:.4f}    {final['ma']:.4f}  "
                 f"{final['ema']:.4f}   {spread_ma:.5f}    {spread_ema:.5f}     {elapsed:.1f}"

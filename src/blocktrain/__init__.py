@@ -47,7 +47,7 @@ from .models import (
     predict_frames,
 )
 from .numerics import ParamVector, make_rng, mean_reduce, substream
-from .optim import SgdState, sgd_step
+from .optim import sgd_step
 from .sync import (
     Checkpoint,
     ShadowState,

@@ -15,6 +15,7 @@ from .experiment import (
     run_experiment,
     write_run_artifacts,
 )
+from .sync import STRATEGIES
 
 __all__ = ["main"]
 
@@ -65,6 +66,8 @@ def _read_final(run_dir: Path) -> dict[str, float]:
                 fer = float(raw)
             except ValueError:
                 raise OSError(f"{path}: malformed row {row}") from None
+            if strategy not in STRATEGIES:
+                raise OSError(f"{path}: malformed row {row}: unknown strategy")
             if not 0.0 <= fer <= 1.0:  # nan fails this too
                 raise OSError(f"{path}: malformed row {row}: FER not in [0, 1]")
             if strategy in fers:
@@ -82,7 +85,7 @@ def _cmd_compare(args: argparse.Namespace) -> int:
         baseline = fers["bmuf"]
         print(f"run: {run_dir}")
         print("  strategy  test_fer  vs_bmuf")
-        for strategy in ("bmuf", "ma", "ema"):
+        for strategy in STRATEGIES:
             if strategy not in fers:
                 continue
             fer = fers[strategy]

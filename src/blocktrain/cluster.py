@@ -5,12 +5,7 @@ every worker trains on its own shard stream, the coordinator averages the
 local models (whole vectors under the centralized transport, shard by shard
 under the decentralized one), the filtered global update runs, the shadows
 observe it, and the new global model is broadcast back before the next block
-may start. Local training is the only per-worker step: serial mode runs it
-in ascending worker order on the calling thread, threaded mode on
-long-lived worker threads whose queues carry only block numbers and the
-resulting local models, read-only views of the workers' own parameter
-buffers. The coordinator does everything else, the broadcast included, in
-both modes. Every average goes through one centered-mean kernel
+may start. Every average goes through one centered-mean kernel
 (:func:`~blocktrain.numerics.centered_mean`) that sums in ascending worker
 order, so all modes and transports produce bit-identical results.
 """
@@ -26,7 +21,7 @@ import numpy as np
 
 from .models import Batch, ModelSpec, backward
 from .numerics import ParamVector, centered_mean, frozen, mean_reduce
-from .optim import SgdState, sgd_step
+from .optim import sgd_step
 from .sync import ShadowState, SyncState, bmuf_apply, shadow_update
 
 __all__ = [
@@ -43,7 +38,10 @@ TRANSPORTS = ("centralized", "decentralized")
 
 @dataclass(frozen=True)
 class ClusterConfig:
-    num_workers: int = 8
+    """Local training and synchronization settings shared by every worker."""
+
+    learning_rate: float
+    momentum: float = 0.0
     block_size: int = 16
     transport: str = "decentralized"
     # momentum buffers normally persist across broadcasts; set True to zero
@@ -51,8 +49,10 @@ class ClusterConfig:
     reset_momentum: bool = False
 
     def __post_init__(self) -> None:
-        if self.num_workers < 1:
-            raise ValueError(f"num_workers must be >= 1, got {self.num_workers}")
+        if not (self.learning_rate > 0.0 and np.isfinite(self.learning_rate)):
+            raise ValueError(f"learning_rate must be positive, got {self.learning_rate}")
+        if not (0.0 <= self.momentum < 1.0):
+            raise ValueError(f"momentum must be in [0, 1), got {self.momentum}")
         if self.block_size < 1:
             raise ValueError(f"block_size must be >= 1, got {self.block_size}")
         if self.transport not in TRANSPORTS:
@@ -125,14 +125,8 @@ def decentralized_aggregate(
 
 @dataclass
 class WorkerState:
-    """One worker: its parameter buffer, optimizer state and shard stream.
-
-    ``params`` is a writable copy of the initial parameter array, so no two
-    workers share a buffer; the local momentum steps update it and
-    ``opt.velocity`` in place, without a per-step finiteness check. The
-    parameters are checked once per block, when the coordinator receives
-    them as a :class:`ParamVector`: NaN and inf stay non-finite under later
-    steps, so a worker that diverged anywhere in the block fails in it.
+    """One worker's shard stream; its parameters and velocity are rows
+    ``index`` of the cluster's ``(N, P)`` arrays.
 
     The stream cycles through the worker's shard, reshuffled with the
     worker-owned generator at the start of every pass, so the visit order is
@@ -140,8 +134,6 @@ class WorkerState:
     """
 
     index: int
-    params: np.ndarray
-    opt: SgdState
     batches: tuple[Batch, ...]
     rng: np.random.Generator
     order: np.ndarray = field(init=False)
@@ -150,7 +142,6 @@ class WorkerState:
     def __post_init__(self) -> None:
         if len(self.batches) == 0:
             raise ValueError(f"worker {self.index} has an empty shard")
-        self.params = np.array(self.params, dtype=np.float64)
         self.order = self.rng.permutation(len(self.batches))
 
     def next_batch(self) -> Batch:
@@ -161,33 +152,38 @@ class WorkerState:
         self.cursor += 1
         return batch
 
-    def run_local_block(self, spec: ModelSpec, block_size: int) -> None:
-        for _ in range(block_size):
-            _, grad = backward(spec, self.params, self.next_batch())
-            sgd_step(self.params, grad, self.opt)
+    def run_local_block(
+        self,
+        spec: ModelSpec,
+        params: np.ndarray,
+        velocity: np.ndarray,
+        config: ClusterConfig,
+    ) -> None:
+        """``config.block_size`` momentum steps in place on the worker's rows."""
+        for _ in range(config.block_size):
+            _, grad = backward(spec, params, self.next_batch())
+            sgd_step(params, grad, velocity, config.learning_rate, config.momentum)
 
 
 class Cluster:
     """Coordinator plus N workers; one ``run_block`` call per sync block.
 
-    ``run_block`` is the single definition of a block. The only part of it
-    that runs per worker is local training (``_local_models``). With
-    ``threaded=False`` the workers train in ascending order on the calling
-    thread. With ``threaded=True`` each worker is a daemon thread that takes
-    block numbers from its inbox queue and posts its local model back, a
-    read-only view of its parameter buffer that is also the block's one
-    finiteness check. The coordinator then averages (``_aggregate``, the one
-    place the transport matters), filters, updates the shadows and copies
-    the new global model into every worker's buffer while they all wait at
-    the barrier, so both modes and both transports produce
-    bitwise-identical trajectories. A failure is raised from ``run_block``
-    with the block named, and the worker too when local training failed or
-    diverged; the cluster is then only fit to be closed.
-
-    ``event_log``, when given, receives ``(phase, block_index, worker)``
-    tuples: ``start`` events from the workers as they begin training and
-    ``applied`` events from the coordinator as it installs the broadcast;
-    tests use it to check the barrier protocol.
+    The cluster owns all worker state as two ``(N, P)`` arrays, ``params``
+    (every row starts as the initial global model) and ``velocity`` (zeros);
+    ``workers[i]`` must have index ``i`` and trains in place on row ``i`` of
+    each. Local training (``_local_models``) is the only per-worker part of a
+    block: with ``threaded=False`` the workers train in ascending order on
+    the calling thread; with ``threaded=True`` each is a daemon thread that
+    takes block numbers from its inbox queue and posts back a read-only view
+    of its row. Validating that view is the block's one finiteness check;
+    NaN and inf stay non-finite under later steps, so a worker that diverged
+    anywhere in the block fails in it. The coordinator then averages
+    (``_aggregate``, the one place the transport matters), filters, updates
+    the shadows and assigns the new global model to every row of ``params``
+    while the workers wait at the barrier, so both modes and both transports
+    produce bitwise-identical trajectories. A failure is raised from
+    ``run_block`` with the block named, and the worker too when local
+    training failed or diverged; the cluster is then only fit to be closed.
     """
 
     def __init__(
@@ -199,20 +195,19 @@ class Cluster:
         config: ClusterConfig,
         *,
         threaded: bool = True,
-        event_log: list | None = None,
     ) -> None:
-        if len(workers) != config.num_workers:
-            raise ValueError(
-                f"config says {config.num_workers} workers, got {len(workers)}"
-            )
+        for position, w in enumerate(workers):
+            if w.index != position:
+                raise ValueError(f"worker at position {position} has index {w.index}")
         self.spec = spec
         self.workers = list(workers)
         self.sync_state = sync_state
         self.shadow_state = shadow_state
         self.config = config
         self.threaded = threaded
-        self.event_log = event_log
-        self.plan = make_shard_plan(len(sync_state.global_model), config.num_workers)
+        self.plan = make_shard_plan(len(sync_state.global_model), len(self.workers))
+        self.params = np.tile(sync_state.global_model.values, (len(self.workers), 1))
+        self.velocity = np.zeros_like(self.params)
         on_threads = self.workers if threaded else []
         self._results: queue.Queue = queue.Queue()
         self._inboxes = [queue.Queue() for _ in on_threads]
@@ -228,13 +223,11 @@ class Cluster:
     def _train(self, w: WorkerState, block_index: int) -> tuple:
         """One local block on ``w``, as ``(index, local model, error)``."""
         try:
-            if self.event_log is not None:
-                self.event_log.append(("start", block_index, w.index))
-            w.run_local_block(self.spec, self.config.block_size)
-            # a zero-copy read-only view whose validation is the block's one
-            # finiteness check; the coordinator reads it only before the
-            # broadcast overwrites the buffer
-            return w.index, ParamVector(frozen(w.params.view())), None
+            row = self.params[w.index]
+            w.run_local_block(self.spec, row, self.velocity[w.index], self.config)
+            # the coordinator reads this view only before the broadcast
+            # overwrites the row
+            return w.index, ParamVector(frozen(row.view())), None
         except BaseException as exc:  # handed to the coordinator, which raises it
             return w.index, None, exc
 
@@ -274,9 +267,9 @@ class Cluster:
     def run_block(self) -> SyncState:
         """Train one block on every worker, synchronize, broadcast.
 
-        Returns the new sync state; afterwards every worker's parameter
-        buffer holds a copy of the freshly broadcast global model, and
-        momentum buffers persist unless ``reset_momentum`` is set.
+        Returns the new sync state; afterwards every row of ``params`` holds
+        the freshly broadcast global model, and ``velocity`` persists unless
+        ``reset_momentum`` is set.
         """
         block_index = self.sync_state.block_index + 1
         theta_bar = self._aggregate(self._local_models(block_index))
@@ -291,13 +284,9 @@ class Cluster:
             raise
         # every worker is idle at the barrier, so the coordinator installs the
         # broadcast itself
-        new_model = self.sync_state.global_model.values
-        for w in self.workers:
-            np.copyto(w.params, new_model)
-            if self.config.reset_momentum:
-                w.opt.velocity.fill(0.0)
-            if self.event_log is not None:
-                self.event_log.append(("applied", block_index, w.index))
+        self.params[...] = self.sync_state.global_model.values
+        if self.config.reset_momentum:
+            self.velocity.fill(0.0)
         return self.sync_state
 
     def close(self) -> None:

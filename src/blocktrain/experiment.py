@@ -30,7 +30,6 @@ from .data import (
 from .metrics import EvalRecord, evaluate_checkpoints
 from .models import Batch, LstmSpec, MlpSpec, ModelSpec, init_params
 from .numerics import ParamVector, substream
-from .optim import SgdState
 from .sync import Checkpoint, ShadowState, SyncState
 
 __all__ = [
@@ -156,7 +155,8 @@ class ExperimentConfig:
 
     def cluster_config(self) -> ClusterConfig:
         return ClusterConfig(
-            self.num_workers,
+            self.learning_rate,
+            self.momentum,
             self.block_size,
             self.transport,
             self.reset_momentum,
@@ -329,8 +329,6 @@ def run_experiment(
     workers = [
         WorkerState(
             i,
-            theta0.values,
-            SgdState.initial(len(theta0), config.learning_rate, config.momentum),
             tuple(
                 _utterance_batch(u.frames, u.labels, config.stack)
                 for u in shards[i].utterances

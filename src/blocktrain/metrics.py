@@ -3,14 +3,20 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Mapping, Sequence
 
 import numpy as np
 
 from .models import Batch, ModelSpec, predict_frames
 from .sync import Checkpoint
 
-__all__ = ["EvalRecord", "frame_error_rate", "evaluate_checkpoints"]
+__all__ = [
+    "EvalRecord",
+    "frame_error_rate",
+    "evaluate_checkpoints",
+    "curve_spread",
+    "shadow_verdicts",
+]
 
 
 @dataclass(frozen=True)
@@ -53,3 +59,19 @@ def evaluate_checkpoints(
         fer = frame_error_rate(preds, eval_set.targets)
         records.append(EvalRecord(cp.strategy, cp.epoch, fer))
     return records
+
+
+def curve_spread(records: Sequence[EvalRecord], strategy: str) -> float:
+    """Standard deviation of one strategy's FER series."""
+    return float(np.std([r.fer for r in records if r.strategy == strategy]))
+
+
+def shadow_verdicts(
+    final_fer: Mapping[str, float], records: Sequence[EvalRecord]
+) -> tuple[bool, bool]:
+    """One run's two shadow-model verdicts: EMA's final FER is at most the
+    raw global model's, and EMA's FER curve spreads less than MA's."""
+    return (
+        final_fer["ema"] <= final_fer["bmuf"],
+        curve_spread(records, "ema") < curve_spread(records, "ma"),
+    )

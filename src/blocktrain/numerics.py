@@ -3,10 +3,10 @@
 Model state that crosses the block barrier travels as a :class:`ParamVector`:
 an immutable, finite, 1-D float64 array holding every trainable parameter of
 one model. Local models handed to the coordinator, the global model, the
-filter accumulator, the shadows and the checkpoints are all ParamVectors. A
-worker's own parameter and velocity buffers are plain writable arrays that
-its momentum steps update in place; they become a ParamVector (a zero-copy
-read-only view, validated once) only when handed over at the end of a block.
+filter accumulator, the shadows and the checkpoints are all ParamVectors.
+The workers train in place on rows of the cluster's plain ``(N, P)`` arrays;
+a worker's parameter row becomes a ParamVector (a zero-copy read-only view,
+validated once) only when handed over at the end of a block.
 Reductions always sum in ascending worker order, so the centralized mean and
 the shard-by-shard mean agree bit for bit.
 

@@ -16,6 +16,7 @@ import pytest
 from blocktrain.cli import main
 from blocktrain.cluster import decentralized_aggregate, make_shard_plan
 from blocktrain.experiment import ExperimentConfig, run_experiment
+from blocktrain.metrics import shadow_verdicts
 from blocktrain.models import Batch, LstmSpec, MlpSpec, backward, init_params
 from blocktrain.numerics import ParamVector, make_rng, mean_reduce
 from blocktrain.sync import ShadowState, SyncState, bmuf_apply, shadow_update
@@ -190,10 +191,6 @@ def test_08_same_seed_same_bytes_in_both_modes(default_run, tmp_path):
             assert (out / "curves.csv").read_bytes() == baseline, name
 
 
-def _strategy_series(records, strategy):
-    return np.array([r.fer for r in records if r.strategy == strategy])
-
-
 def test_09_final_model_quality_and_curve_steadiness():
     """Ten-seed comparison on both default configs. (a) the exponential
     shadow's final test FER beats or ties the raw global model's in at least
@@ -207,11 +204,11 @@ def test_09_final_model_quality_and_curve_steadiness():
             steadiness_wins = 0
             for seed in range(10):
                 result = run_experiment(config.with_seed(seed), threaded=False)
-                finals = result.final_test_fer
-                final_wins += finals["ema"] <= finals["bmuf"]
-                ma_spread = float(np.std(_strategy_series(result.test_records, "ma")))
-                ema_spread = float(np.std(_strategy_series(result.test_records, "ema")))
-                steadiness_wins += ema_spread < ma_spread
+                beats, steadier = shadow_verdicts(
+                    result.final_test_fer, result.test_records
+                )
+                final_wins += beats
+                steadiness_wins += steadier
             print(
                 f"    {config.model}: final ema<=bmuf {final_wins}/10, "
                 f"ema steadier than ma {steadiness_wins}/10"

@@ -1,5 +1,6 @@
 import sys
 import threading
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -16,12 +17,35 @@ from blocktrain.cluster import (
 )
 from blocktrain.models import Batch, LstmSpec, MlpSpec, init_params
 from blocktrain.numerics import ParamVector, make_rng, mean_reduce, substream
-from blocktrain.optim import SgdState, sgd_step
+from blocktrain.optim import sgd_step
 from blocktrain.sync import ShadowState, SyncState
 
 
 def pv(values):
     return ParamVector(np.asarray(values, dtype=float))
+
+
+def bounded(fn, timeout=60):
+    """``fn()`` run on a daemon thread: its result, or its exception raised
+    here; the test fails with "hung" if it has not finished in ``timeout``
+    seconds (a daemon thread, so that a hang fails the test, not the suite)."""
+    outcome = []
+
+    def body():
+        try:
+            outcome.append((fn(), None))
+        except BaseException as exc:
+            outcome.append((None, exc))
+
+    runner = threading.Thread(target=body, daemon=True)
+    runner.start()
+    runner.join(timeout=timeout)
+    if runner.is_alive():
+        pytest.fail(f"hung: not finished after {timeout} s")
+    result, exc = outcome[0]
+    if exc is not None:
+        raise exc
+    return result
 
 
 class TestShardPlan:
@@ -88,12 +112,10 @@ class TestDecentralizedAggregate:
 
 class TestClusterConfig:
     def test_validation(self):
-        with pytest.raises(ValueError, match="num_workers"):
-            ClusterConfig(num_workers=0)
         with pytest.raises(ValueError, match="block_size"):
-            ClusterConfig(block_size=0)
+            ClusterConfig(0.1, block_size=0)
         with pytest.raises(ValueError, match="transport"):
-            ClusterConfig(transport="ring")
+            ClusterConfig(0.1, transport="ring")
 
 
 # worker 1's failures: a target class beyond the 2 outputs, and a velocity
@@ -119,31 +141,21 @@ def tiny_setup(
             Batch(rng.normal(size=(6, 4)), rng.integers(2, size=6), (3, 3))
             for _ in range(4)
         )
-        workers.append(
-            WorkerState(
-                i,
-                theta0.values,
-                SgdState.initial(len(theta0), 0.2, 0.5),
-                batches,
-                substream(seed, 5, i),
-            )
-        )
+        workers.append(WorkerState(i, batches, substream(seed, 5, i)))
     sync = SyncState.initial(theta0, eta, zeta)
     shadow = ShadowState.initial(theta0, 0.9)
-    config = ClusterConfig(n_workers, block_size, transport)
+    config = ClusterConfig(0.2, 0.5, block_size, transport)
     return spec, workers, sync, shadow, config
 
 
-def run_blocks(threaded, transport, blocks=4, n_workers=3, event_log=None, **kw):
+def run_blocks(threaded, transport, blocks=4, n_workers=3, **kw):
     spec, workers, sync, shadow, config = tiny_setup(n_workers, transport, **kw)
     trajectory = []
-    with Cluster(
-        spec, workers, sync, shadow, config, threaded=threaded, event_log=event_log
-    ) as cluster:
+    with Cluster(spec, workers, sync, shadow, config, threaded=threaded) as cluster:
         for _ in range(blocks):
             state = cluster.run_block()
             trajectory.append(state.global_model.values.tobytes())
-        worker_models = [w.params.tobytes() for w in cluster.workers]
+        worker_models = [row.tobytes() for row in cluster.params]
         final_global = cluster.sync_state.global_model.values.tobytes()
     return trajectory, worker_models, final_global
 
@@ -177,22 +189,15 @@ class TestCluster:
         # worker thread reads it in the next one; a worker that trained on a
         # stale model would change the trajectory
         serial = run_blocks(False, "decentralized", blocks=6, n_workers=6)
-        outcome = []
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
-            runner = threading.Thread(
-                target=lambda: outcome.append(
-                    run_blocks(True, "decentralized", blocks=6, n_workers=6)
-                ),
-                daemon=True,
+            threaded = bounded(
+                lambda: run_blocks(True, "decentralized", blocks=6, n_workers=6)
             )
-            runner.start()
-            runner.join(timeout=60)
         finally:
             sys.setswitchinterval(interval)
-        assert not runner.is_alive(), "threaded cluster hung"
-        assert outcome == [serial]
+        assert threaded == serial
 
     def test_single_worker_degenerate_equals_plain_sgd(self):
         # one worker, one batch, eta=0, zeta=1: a block of k steps must equal
@@ -202,98 +207,104 @@ class TestCluster:
         theta0 = init_params(spec, rng)
         batch = Batch(rng.normal(size=(5, 3)), rng.integers(2, size=5))
         k = 6
-        worker = WorkerState(
-            0,
-            theta0.values,
-            SgdState.initial(len(theta0), 0.1, 0.7),
-            (batch,),
-            substream(1, 5, 0),
-        )
+        worker = WorkerState(0, (batch,), substream(1, 5, 0))
         sync = SyncState.initial(theta0, 0.0, 1.0)
-        config = ClusterConfig(1, k, "centralized")
+        config = ClusterConfig(0.1, 0.7, k, "centralized")
         with Cluster(spec, [worker], sync, None, config, threaded=False) as cluster:
             state = cluster.run_block()
         from blocktrain.models import backward
 
         params = theta0.values.copy()
-        opt = SgdState.initial(len(theta0), 0.1, 0.7)
+        velocity = np.zeros(len(theta0))
         for _ in range(k):
             _, grad = backward(spec, params, batch)
-            sgd_step(params, grad, opt)
+            sgd_step(params, grad, velocity, 0.1, 0.7)
         assert state.global_model.values.tobytes() == params.tobytes()
-        assert worker.params.tobytes() == params.tobytes()
-        assert worker.opt.velocity.tobytes() == opt.velocity.tobytes()
+        assert cluster.params[0].tobytes() == params.tobytes()
+        assert cluster.velocity[0].tobytes() == velocity.tobytes()
 
     def test_momentum_persists_across_blocks(self):
         for threaded in (False, True):
             spec, workers, sync, shadow, config = tiny_setup(2, "centralized")
-            buffers = [w.opt.velocity for w in workers]
             with Cluster(
                 spec, workers, sync, shadow, config, threaded=threaded
             ) as cluster:
+                buffer = cluster.velocity
                 cluster.run_block()
-                velocities = [w.opt.velocity.copy() for w in cluster.workers]
-                assert all(np.any(v != 0) for v in velocities)
+                before = cluster.velocity.copy()
+                assert all(np.any(v != 0) for v in before)
                 cluster.run_block()
-                for w, buffer, before in zip(cluster.workers, buffers, velocities):
-                    assert w.opt.velocity is buffer
-                    assert not np.array_equal(w.opt.velocity, before)
+                assert cluster.velocity is buffer
+                for v, b in zip(cluster.velocity, before):
+                    assert not np.array_equal(v, b)
 
     def test_momentum_reset_on_broadcast_when_configured(self):
         for threaded in (False, True):
             spec, workers, sync, shadow, config = tiny_setup(2, "centralized")
-            config = ClusterConfig(
-                config.num_workers,
-                config.block_size,
-                config.transport,
-                reset_momentum=True,
-            )
+            config = replace(config, reset_momentum=True)
             with Cluster(
                 spec, workers, sync, shadow, config, threaded=threaded
             ) as cluster:
-                buffers = [w.opt.velocity for w in cluster.workers]
+                buffer = cluster.velocity
                 cluster.run_block()
-                for w, buffer in zip(cluster.workers, buffers):
-                    assert w.opt.velocity is buffer
-                    assert np.array_equal(w.opt.velocity, np.zeros(len(w.params)))
+                assert cluster.velocity is buffer
+                assert np.array_equal(cluster.velocity, np.zeros(cluster.params.shape))
 
     def test_workers_share_no_buffers(self):
-        # every worker trains in place on its own copy of theta0; a shared
-        # buffer would let one worker's steps leak into another's model
+        # every worker trains in place on its own rows; a shared buffer would
+        # let one worker's steps leak into another's model
         for threaded in (False, True):
             spec, workers, sync, shadow, config = tiny_setup(3, "decentralized")
             with Cluster(
                 spec, workers, sync, shadow, config, threaded=threaded
             ) as cluster:
                 for _ in range(2):
-                    buffers = [b for w in workers for b in (w.params, w.opt.velocity)]
+                    buffers = [*cluster.params, *cluster.velocity]
                     buffers.append(cluster.sync_state.global_model.values)
                     for i, a in enumerate(buffers):
                         for b in buffers[i + 1 :]:
                             assert not np.shares_memory(a, b)
                     cluster.run_block()
 
-    def test_worker_count_mismatch(self):
+    @pytest.mark.parametrize("threaded", [True, False], ids=["threaded", "serial"])
+    @pytest.mark.parametrize(
+        "indices", [(0, 0), (1, 0), (0, 2)], ids=["duplicate", "swapped", "gap"]
+    )
+    def test_misnumbered_workers_rejected(self, threaded, indices):
+        # rows and inboxes are indexed by worker index: two workers on one
+        # inbox would hang the threaded cluster
         spec, workers, sync, shadow, config = tiny_setup(2, "centralized")
-        with pytest.raises(ValueError, match="workers"):
-            Cluster(spec, workers[:1], sync, shadow, config, threaded=False)
+        workers = [replace(w, index=i) for w, i in zip(workers, indices)]
+        position = next(p for p, i in enumerate(indices) if i != p)
+
+        def body():
+            with Cluster(spec, workers, sync, shadow, config, threaded=threaded) as c:
+                c.run_block()
+
+        with pytest.raises(ValueError, match=f"position {position} has index"):
+            bounded(body, timeout=30)
 
     def test_empty_shard_rejected(self):
         with pytest.raises(ValueError, match="empty shard"):
-            WorkerState(0, np.zeros(1), SgdState.initial(1, 0.1), (), make_rng(0))
+            WorkerState(0, (), make_rng(0))
 
     @pytest.mark.parametrize("transport", ["centralized", "decentralized"])
-    def test_barrier_no_worker_starts_next_block_early(self, transport):
-        event_log: list = []
-        run_blocks(True, transport, blocks=3, n_workers=4, event_log=event_log)
-        position = {}
-        for idx, (phase, block, worker) in enumerate(event_log):
-            position.setdefault((phase, block), []).append(idx)
-        for block in (1, 2):
-            last_applied = max(position[("applied", block)])
-            first_start_next = min(position[("start", block + 1)])
-            assert last_applied < first_start_next
-            assert len(position[("applied", block)]) == 4
+    def test_barrier_no_worker_starts_next_block_early(self, transport, monkeypatch):
+        # every worker must start block b from the global model after block
+        # b - 1; one that started early would still hold its own local model
+        starts: dict = {}
+        train = WorkerState.run_local_block
+
+        def recording(self, spec, params, velocity, config):
+            starts.setdefault(self.index, []).append(params.tobytes())
+            train(self, spec, params, velocity, config)
+
+        monkeypatch.setattr(WorkerState, "run_local_block", recording)
+        theta0 = tiny_setup(4, transport)[2].global_model.values.tobytes()
+        trajectory, _, _ = run_blocks(True, transport, blocks=3, n_workers=4)
+        assert sorted(starts) == [0, 1, 2, 3]
+        for rows in starts.values():
+            assert rows == [theta0, *trajectory[:-1]]
 
     @pytest.mark.parametrize(
         "threaded, transport, bad, velocity, error",
@@ -312,30 +323,22 @@ class TestCluster:
         self, threaded, transport, bad, velocity, error
     ):
         spec, workers, sync, shadow, config = tiny_setup(2, transport)
-        params = workers[1].params
-        opt = SgdState(np.full(len(params), velocity), 0.2, 0.9)
-        workers[1] = WorkerState(1, params, opt, (bad,), make_rng(0))
-        outcome = []
+        # momentum 0.9 lets DIVERGE's velocity overflow within the block
+        config = replace(config, momentum=0.9)
+        workers[1] = WorkerState(1, (bad,), make_rng(0))
 
         def body():
-            try:
-                with Cluster(
-                    spec, workers, sync, shadow, config, threaded=threaded
-                ) as cluster:
-                    cluster.run_block()
-            except BaseException as exc:
-                outcome.append(exc)
+            with Cluster(
+                spec, workers, sync, shadow, config, threaded=threaded
+            ) as cluster:
+                cluster.velocity[1] = velocity
+                cluster.run_block()
 
-        # a daemon thread, so that a hang fails the test instead of the suite
-        runner = threading.Thread(target=body, daemon=True)
-        runner.start()
-        runner.join(timeout=30)
-        assert not runner.is_alive(), "crashed worker hung the cluster"
-        assert len(outcome) == 1
-        assert isinstance(outcome[0], ValueError)
-        assert error in str(outcome[0])
-        assert "block 1" in str(outcome[0])
-        assert "worker 1" in str(outcome[0])
+        with pytest.raises(ValueError) as failure:
+            bounded(body, timeout=30)
+        assert error in str(failure.value)
+        assert "block 1" in str(failure.value)
+        assert "worker 1" in str(failure.value)
 
     @pytest.mark.parametrize("threaded", [True, False])
     def test_coordinator_exception_names_block(self, threaded):

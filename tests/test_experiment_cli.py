@@ -335,7 +335,16 @@ class TestCliCompare:
 
     @pytest.mark.parametrize(
         "row",
-        ["bmuf", "bmuf,abc", "bmuf,0.2,junk", "ma,0.3", "bmuf,-3", "bmuf,1.5", "bmuf,nan"],
+        [
+            "bmuf",
+            "bmuf,abc",
+            "bmuf,0.2,junk",
+            "ma,0.3",
+            "bmuf,-3",
+            "bmuf,1.5",
+            "bmuf,nan",
+            "foo,0.1",
+        ],
     )
     def test_malformed_row_fails(self, tmp_path, capsys, row):
         run_dir = tmp_path / "run"

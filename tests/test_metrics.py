@@ -4,7 +4,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from blocktrain.data import generate_corpus, stack_frames
-from blocktrain.metrics import EvalRecord, evaluate_checkpoints, frame_error_rate
+from blocktrain.metrics import (
+    EvalRecord,
+    evaluate_checkpoints,
+    frame_error_rate,
+    shadow_verdicts,
+)
 from blocktrain.models import Batch, MlpSpec, init_params
 from blocktrain.numerics import ParamVector, make_rng
 from blocktrain.sync import Checkpoint
@@ -107,3 +112,22 @@ class TestEvaluateCheckpoints:
             evaluate_checkpoints(
                 [Checkpoint("bmuf", 1, 0.25, ParamVector.zeros(10))], batch, spec
             )
+
+
+class TestShadowVerdicts:
+    def records(self, ma, ema):
+        return [
+            EvalRecord(strategy, 0.25 * (k + 1), fer)
+            for k, pair in enumerate(zip(ma, ema))
+            for strategy, fer in zip(("ma", "ema"), pair)
+        ]
+
+    def test_ties_count_for_the_final_fer_not_the_spread(self):
+        records = self.records([0.5, 0.3], [0.5, 0.3])
+        assert shadow_verdicts({"bmuf": 0.2, "ema": 0.2}, records) == (True, False)
+
+    def test_each_verdict_on_its_own(self):
+        steady = self.records([0.6, 0.2], [0.3, 0.25])
+        assert shadow_verdicts({"bmuf": 0.2, "ema": 0.3}, steady) == (False, True)
+        unsteady = self.records([0.3, 0.25], [0.6, 0.2])
+        assert shadow_verdicts({"bmuf": 0.3, "ema": 0.2}, unsteady) == (True, False)

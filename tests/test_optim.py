@@ -4,7 +4,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from blocktrain.optim import SgdState, sgd_step
+from blocktrain.cluster import ClusterConfig
+from blocktrain.optim import sgd_step
 
 from .oracles import sgd_reference
 
@@ -16,45 +17,42 @@ def arr(*values):
 
 
 class TestValidation:
+    # the step's hyperparameters are validated once, where the cluster
+    # configuration is built, not on every in-place step
     def test_learning_rate_positive(self):
         with pytest.raises(ValueError, match="learning_rate"):
-            SgdState(np.zeros(2), 0.0)
+            ClusterConfig(0.0)
+        with pytest.raises(ValueError, match="learning_rate"):
+            ClusterConfig(float("inf"))
 
     def test_momentum_range(self):
         with pytest.raises(ValueError, match="momentum"):
-            SgdState(np.zeros(2), 0.1, 1.0)
+            ClusterConfig(0.1, momentum=1.0)
         with pytest.raises(ValueError, match="momentum"):
-            SgdState(np.zeros(2), 0.1, -0.1)
+            ClusterConfig(0.1, momentum=-0.1)
 
     def test_length_mismatch(self):
-        state = SgdState.initial(2, 0.1)
-        with pytest.raises(ValueError, match="length mismatch"):
-            sgd_step(arr(1.0, 2.0), arr(1.0), state)
-
-    def test_velocity_is_an_owned_copy(self):
-        given_velocity = arr(1.0, 2.0)
-        state = SgdState(given_velocity, 0.1, 0.5)
-        assert not np.shares_memory(state.velocity, given_velocity)
-        assert state.velocity.flags.writeable
+        with pytest.raises(ValueError, match="shape mismatch"):
+            sgd_step(arr(1.0, 2.0), arr(1.0), np.zeros(2), 0.1, 0.0)
 
 
 class TestStep:
     def test_plain_sgd(self):
-        params, state = arr(1.0), SgdState.initial(1, 0.1, 0.0)
-        sgd_step(params, arr(10.0), state)
+        params, velocity = arr(1.0), np.zeros(1)
+        sgd_step(params, arr(10.0), velocity, 0.1, 0.0)
         assert np.array_equal(params, [0.0])
-        assert np.array_equal(state.velocity, [-1.0])
+        assert np.array_equal(velocity, [-1.0])
 
     def test_zero_grad_zero_velocity_is_fixed_point(self):
-        params, state = arr(3.0, -2.0), SgdState.initial(2, 0.5, 0.9)
-        sgd_step(params, np.zeros(2), state)
+        params, velocity = arr(3.0, -2.0), np.zeros(2)
+        sgd_step(params, np.zeros(2), velocity, 0.5, 0.9)
         assert np.array_equal(params, [3.0, -2.0])
-        assert np.array_equal(state.velocity, np.zeros(2))
+        assert np.array_equal(velocity, np.zeros(2))
 
     def test_pure_momentum_decay(self):
-        params, state = arr(0.0), SgdState(arr(1.0), 1.0, 0.9)
-        sgd_step(params, arr(0.0), state)
-        assert np.array_equal(state.velocity, [0.9])
+        params, velocity = arr(0.0), arr(1.0)
+        sgd_step(params, arr(0.0), velocity, 1.0, 0.9)
+        assert np.array_equal(velocity, [0.9])
         assert np.array_equal(params, [0.9])
 
     @given(
@@ -70,10 +68,10 @@ class TestStep:
         p, v, g = (rng.normal(size=length) * rng.uniform(0.1, 10.0) for _ in range(3))
         want_v = momentum * v - lr * g
         want_p = p + want_v
-        params, grad, state = p.copy(), g.copy(), SgdState(v, lr, momentum)
-        sgd_step(params, grad, state)
+        params, grad, velocity = p.copy(), g.copy(), v.copy()
+        sgd_step(params, grad, velocity, lr, momentum)
         assert params.tobytes() == want_p.tobytes()
-        assert state.velocity.tobytes() == want_v.tobytes()
+        assert velocity.tobytes() == want_v.tobytes()
 
     @given(
         seed=st.integers(0, 2**32 - 1),
@@ -86,10 +84,10 @@ class TestStep:
         rng = np.random.default_rng(seed)
         params0 = rng.normal(size=4)
         grads = [rng.normal(size=4) for _ in range(steps)]
-        state = SgdState.initial(4, lr, momentum)
+        velocity = np.zeros(4)
         current = params0.copy()
         for g in grads:
-            sgd_step(current, g.copy(), state)
+            sgd_step(current, g.copy(), velocity, lr, momentum)
         want = sgd_reference(lr, momentum, params0, grads)
         np.testing.assert_allclose(current, want, rtol=1e-12, atol=1e-13)
 
@@ -97,6 +95,6 @@ class TestStep:
     def test_scaling_invariance_without_momentum(self, x, c):
         # scaling grad by c and lr by 1/c is a no-op; exact for powers of two
         a, b = np.zeros(3), np.zeros(3)
-        sgd_step(a, x.copy(), SgdState.initial(3, 0.25, 0.0))
-        sgd_step(b, c * x, SgdState.initial(3, 0.25 / c, 0.0))
+        sgd_step(a, x.copy(), np.zeros(3), 0.25, 0.0)
+        sgd_step(b, c * x, np.zeros(3), 0.25 / c, 0.0)
         assert np.array_equal(a, b)

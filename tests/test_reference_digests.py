@@ -2,13 +2,15 @@ import hashlib
 import importlib.util
 import json
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
 
-from blocktrain.experiment import run_experiment, write_run_artifacts
+from blocktrain.experiment import ExperimentConfig, run_experiment, write_run_artifacts
 
-PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+ROOT = Path(__file__).resolve().parent.parent
+PERFBENCH = ROOT / "perfbench"
 
 # sha256 of the final global_model + delta + ma_model + ema_model bytes of each
 # workload at the reference seed
@@ -57,3 +59,28 @@ def test_workload_matches_reference_digest(name, tmp_path):
     data = (tmp_path / "curves.csv").read_bytes() + (tmp_path / "final.csv").read_bytes()
     assert hashlib.sha256(data).hexdigest() == reference["digests"][name]
     assert parameter_digest(result) == PARAMETER_DIGESTS[name]
+
+
+def test_lstm_artifacts_agree_across_modes(tmp_path):
+    """One epoch of the default LSTM config gives the same ``curves.csv`` +
+    ``final.csv`` bytes and the same final parameter bytes serial
+    decentralized, serial centralized and threaded decentralized."""
+    config = replace(
+        ExperimentConfig.from_file(ROOT / "configs" / "default_lstm.cfg"), epochs=1
+    )
+    outcomes = {}
+    for transport, threaded in (
+        ("decentralized", False),
+        ("centralized", False),
+        ("decentralized", True),
+    ):
+        name = f"{transport}-{'threaded' if threaded else 'serial'}"
+        result = run_experiment(replace(config, transport=transport), threaded=threaded)
+        write_run_artifacts(result, tmp_path / name)
+        data = b"".join(
+            (tmp_path / name / f).read_bytes() for f in ("curves.csv", "final.csv")
+        )
+        outcomes[name] = (data, parameter_digest(result))
+    baseline = outcomes.pop("decentralized-serial")
+    for name, outcome in outcomes.items():
+        assert outcome == baseline, name
