@@ -141,9 +141,19 @@ class Batch:
         return self.inputs.shape[0]
 
 
-def _sigmoid(z: np.ndarray) -> np.ndarray:
-    # tanh form: overflow-free and exactly saturating for |z| >~ 40
-    return 0.5 * (1.0 + np.tanh(0.5 * z))
+def _sigmoid(z: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """``0.5 * (1.0 + tanh(0.5 * z))`` in one array: ``out`` (``z`` itself is
+    fine) or, by default, a fresh one.
+
+    The tanh form is overflow-free and exactly saturating for |z| >~ 40. The
+    in-place steps keep the operations and their order, so the bits are those
+    of the allocating expression.
+    """
+    s = np.multiply(z, 0.5, out=out)
+    np.tanh(s, out=s)
+    s += 1.0
+    s *= 0.5
+    return s
 
 
 def _softmax_ce(logits: np.ndarray, targets: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -279,8 +289,9 @@ def _mlp_forward(
     layers = _mlp_views(spec, values)
     acts = [batch.inputs]
     for idx, (w, b) in enumerate(layers):
-        z = acts[-1] @ w + b
-        acts.append(z if idx == len(layers) - 1 else _sigmoid(z))
+        z = acts[-1] @ w
+        z += b
+        acts.append(z if idx == len(layers) - 1 else _sigmoid(z, out=z))
     return acts.pop(), acts
 
 
@@ -296,7 +307,9 @@ def _mlp_backprop(
         gb += delta.sum(axis=0)
         if idx > 0:
             a = acts[idx]
-            delta = (delta @ w.T) * a * (1.0 - a)
+            delta = delta @ w.T
+            delta *= a
+            delta *= 1.0 - a
 
 
 # ---------------------------------------------------------------------------

@@ -78,8 +78,10 @@ def centered_mean(parts: Sequence[np.ndarray]) -> np.ndarray:
     """
     base = parts[0]
     acc = np.zeros_like(base)
+    tmp = np.empty_like(base)
     for part in parts[1:]:
-        acc += part - base
+        np.subtract(part, base, out=tmp)
+        acc += tmp
     acc /= len(parts)
     acc += base
     return frozen(acc)

@@ -118,9 +118,16 @@ def bmuf_apply(state: SyncState, theta_bar: ParamVector) -> SyncState:
     eta = state.block_momentum
     zeta = state.block_learning_rate
     prev = state.global_model.values
-    g = theta_bar.values - prev
-    delta = eta * state.delta.values + zeta * g
-    new_global = (1.0 - zeta) * prev + zeta * theta_bar.values + eta * state.delta.values
+    bar = theta_bar.values
+    # each chain accumulates into the array it just made, in the operand
+    # order of the formulas above, so the bits are those of the expressions
+    carried = eta * state.delta.values
+    delta = bar - prev
+    delta *= zeta
+    delta += carried
+    new_global = (1.0 - zeta) * prev
+    new_global += bar * zeta
+    new_global += carried
     return SyncState(
         ParamVector(frozen(new_global)),
         ParamVector(frozen(delta)),
@@ -143,12 +150,14 @@ def shadow_update(shadow: ShadowState, theta_g: ParamVector) -> ShadowState:
     if t == 1:
         ma = theta_g
     else:
-        ma = ParamVector(
-            frozen(shadow.ma_model.values + (theta_g.values - shadow.ma_model.values) / t)
-        )
+        step = theta_g.values - shadow.ma_model.values
+        step /= t
+        step += shadow.ma_model.values
+        ma = ParamVector(frozen(step))
     alpha = shadow.ema_rate
-    ema = ParamVector(frozen(alpha * shadow.ema_model.values + (1.0 - alpha) * theta_g.values))
-    return replace(shadow, ma_model=ma, ema_model=ema, sync_count=t)
+    ema = alpha * shadow.ema_model.values
+    ema += (1.0 - alpha) * theta_g.values
+    return replace(shadow, ma_model=ma, ema_model=ParamVector(frozen(ema)), sync_count=t)
 
 
 def final_models(shadow: ShadowState, sync: SyncState) -> dict[str, ParamVector]:

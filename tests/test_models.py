@@ -7,6 +7,8 @@ from blocktrain.models import (
     Batch,
     LstmSpec,
     MlpSpec,
+    _forward,
+    _sigmoid,
     _softmax_ce,
     backward,
     forward_loss,
@@ -30,6 +32,38 @@ def random_batch(rng, frames, dim, classes, seq_lengths=()):
         rng.integers(classes, size=frames),
         seq_lengths,
     )
+
+
+def sigmoid_reference(z):
+    """The allocating tanh form every in-place sigmoid must match bit for bit."""
+    return 0.5 * (1.0 + np.tanh(0.5 * z))
+
+
+def mlp_logits_reference(spec, values, inputs):
+    """Straight-line allocating MLP forward: ``a @ w + b``, then the sigmoid."""
+    sizes = spec.layer_sizes
+    off = 0
+    a = inputs
+    for idx, (d_in, d_out) in enumerate(zip(sizes, sizes[1:])):
+        w = values[off : off + d_in * d_out].reshape(d_in, d_out)
+        off += d_in * d_out
+        b = values[off : off + d_out]
+        off += d_out
+        z = a @ w + b
+        a = z if idx == len(sizes) - 2 else sigmoid_reference(z)
+    return a
+
+
+# extremes the sigmoid must keep bit for bit: saturation, signed zero, subnormals
+SIGMOID_EDGES = np.array(
+    [1e3, -1e3, 40.0, -40.0, 0.0, -0.0, 5e-324, -5e-324, 1e-310, -1e-310, 1.0, -1.0]
+)
+
+
+def sigmoid_inputs(rng, n):
+    z = rng.normal(scale=8.0, size=n)
+    z[: SIGMOID_EDGES.size] = SIGMOID_EDGES
+    return z
 
 
 class TestSpecs:
@@ -223,6 +257,69 @@ class TestBackward:
         _, grad = backward(spec, params, batch)
         numeric = finite_difference_gradient(spec, params, batch)
         assert max_rel_err(grad, numeric) <= 1e-5
+
+
+class TestSigmoid:
+    def test_fresh_array_bitwise_and_input_untouched(self):
+        z = sigmoid_inputs(make_rng(3), 500)
+        before = z.tobytes()
+        got = _sigmoid(z)
+        assert got is not z
+        assert np.array_equal(got, sigmoid_reference(z))
+        assert z.tobytes() == before
+
+    def test_read_only_input(self):
+        z = sigmoid_inputs(make_rng(4), 64)
+        z.flags.writeable = False
+        assert np.array_equal(_sigmoid(z), sigmoid_reference(z))
+
+    def test_in_place_returns_same_array(self):
+        z = sigmoid_inputs(make_rng(5), 500).reshape(50, 10)
+        want = sigmoid_reference(z)
+        got = _sigmoid(z, out=z)
+        assert got is z
+        assert np.array_equal(z, want)
+
+    def test_gate_column_slice(self):
+        # the recurrent cell takes one gate's columns of an (n, 4H) array
+        n, h = 37, 16
+        z = sigmoid_inputs(make_rng(6), n * 4 * h).reshape(n, 4 * h)
+        before = z.tobytes()
+        for g in range(4):
+            cols = z[:, g * h : (g + 1) * h]
+            assert np.array_equal(_sigmoid(cols), sigmoid_reference(cols))
+        assert z.tobytes() == before
+
+
+class TestEvaluationLogits:
+    @pytest.mark.parametrize("sizes", [(36, 256, 256, 8), (36, 32, 8)])
+    def test_mlp_logits_bitwise_equal_allocating_reference(self, sizes):
+        # the FER digests round logits to a class; this pins their bits
+        rng = make_rng(47)
+        spec = MlpSpec(sizes)
+        params = init_params(spec, rng)
+        inputs = rng.normal(size=(4000, sizes[0]))
+        logits, _ = _forward(spec, params, Batch(inputs, np.zeros(4000, dtype=int)))
+        assert np.array_equal(logits, mlp_logits_reference(spec, params.values, inputs))
+
+
+class TestCallerMemory:
+    @pytest.mark.parametrize(
+        "spec,lengths",
+        [(MlpSpec((6, 9, 7, 4)), ()), (LstmSpec(6, 5, 2, 4), (4, 3, 4))],
+    )
+    def test_backward_and_predict_leave_caller_arrays_unchanged(self, spec, lengths):
+        rng = make_rng(53)
+        # a worker's writable parameter row, as the cluster hands it out
+        rows = np.stack([init_params(spec, rng).values for _ in range(3)])
+        inputs = rng.normal(size=(sum(lengths) or 11, 6))
+        targets = rng.integers(4, size=inputs.shape[0])
+        rows_before, inputs_before = rows.tobytes(), inputs.tobytes()
+        backward(spec, rows[1], Batch(inputs, targets, lengths))
+        predict_frames(spec, rows[1], inputs, lengths)
+        assert rows.flags.writeable and inputs.flags.writeable
+        assert rows.tobytes() == rows_before
+        assert inputs.tobytes() == inputs_before
 
 
 class TestPredict:

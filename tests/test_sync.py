@@ -91,6 +91,30 @@ class TestBmuf:
         avg = mean_reduce(locals_)
         assert after.global_model.values.tobytes() == avg.values.tobytes()
 
+    @given(
+        length=st.integers(min_value=1, max_value=64),
+        seed=st.integers(0, 2**32 - 1),
+        eta=st.floats(min_value=0.01, max_value=0.99),
+        zeta=st.floats(min_value=0.1, max_value=2.0).filter(lambda z: z != 1.0),
+        scale=st.sampled_from([1e-300, 1e-3, 1.0, 1e3, 1e150]),
+    )
+    @settings(max_examples=80, deadline=None)
+    def test_filtered_update_bitwise_equals_expression(self, length, seed, eta, zeta, scale):
+        """The filtered update keeps the bits of the plain expressions on the
+        zeta != 1, eta > 0 path that no artifact digest exercises."""
+        rng = np.random.default_rng(seed)
+        prev, d, tb = (scale * rng.normal(size=length) for _ in range(3))
+        state = SyncState(pv(prev), pv(d), eta, zeta, 5)
+        after = bmuf_apply(state, pv(tb))
+        g = tb - prev
+        want_delta = eta * d + zeta * g
+        want_global = (1.0 - zeta) * prev + zeta * tb + eta * d
+        assert np.array_equal(after.delta.values, want_delta)
+        assert np.array_equal(after.global_model.values, want_global)
+        assert not after.global_model.values.flags.writeable
+        assert not after.delta.values.flags.writeable
+        assert after.block_index == 6
+
     def test_geometric_decay_with_echoed_broadcast(self):
         """With zeta=1 a displaced first block sets the accumulator; workers
         that then echo the broadcast back add nothing, so the filtered update
@@ -186,6 +210,28 @@ class TestShadow:
             pad = 4 * np.spacing(np.maximum(np.abs(lo), np.abs(hi)))
             assert np.all(shadow.ema_model.values >= lo - pad)
             assert np.all(shadow.ema_model.values <= hi + pad)
+
+    @given(
+        length=st.integers(min_value=1, max_value=64),
+        seed=st.integers(0, 2**32 - 1),
+        alpha=st.floats(min_value=0.01, max_value=0.999),
+        count=st.integers(min_value=1, max_value=10_000),
+        scale=st.sampled_from([1e-300, 1e-3, 1.0, 1e3, 1e150]),
+    )
+    @settings(max_examples=80, deadline=None)
+    def test_update_bitwise_equals_expression(self, length, seed, alpha, count, scale):
+        """Both shadows keep the bits of the plain expressions at t > 1 and
+        0 < alpha < 1."""
+        rng = np.random.default_rng(seed)
+        ma, ema, theta = (scale * rng.normal(size=length) for _ in range(3))
+        shadow = ShadowState(pv(ma), pv(ema), alpha, count)
+        after = shadow_update(shadow, pv(theta))
+        t = count + 1
+        assert np.array_equal(after.ma_model.values, ma + (theta - ma) / t)
+        assert np.array_equal(after.ema_model.values, alpha * ema + (1.0 - alpha) * theta)
+        assert not after.ma_model.values.flags.writeable
+        assert not after.ema_model.values.flags.writeable
+        assert after.sync_count == t
 
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError, match="length mismatch"):
