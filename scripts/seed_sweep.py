@@ -12,6 +12,11 @@ acceptance suite checks:
 * ema_steadier_than_ma: seeds where the exponential shadow's curve
   spreads less than the running mean's
 
+A seed whose training fails (a worker crashes or diverges) prints its
+``error:`` line in place of its results, counts toward neither summary count,
+and the sweep goes on with the next seed; ``failed_seeds`` reports how many
+failed.
+
 Usage: python scripts/seed_sweep.py [--seeds N] [--models mlp,lstm]
        [--set key=value ...]
 
@@ -35,6 +40,7 @@ sys.path.insert(0, str(ROOT / "src"))
 from blocktrain.experiment import (
     ConfigError,
     ExperimentConfig,
+    TrainingError,
     parse_value,
     run_experiment,
 )
@@ -68,11 +74,17 @@ def run_study(configs, seeds):
     for model, config in configs.items():
         ema_beats_bmuf = 0
         ema_steadier = 0
+        failed = 0
         print(f"== {model} ==")
         print("seed  bmuf_fer  ma_fer  ema_fer  ma_spread  ema_spread  secs")
         for seed in seeds:
             start = time.perf_counter()
-            result = run_experiment(config.with_seed(seed), threaded=False)
+            try:
+                result = run_experiment(config.with_seed(seed), threaded=False)
+            except TrainingError as exc:
+                failed += 1
+                print(f"{seed:<4d}  error: {exc}")
+                continue
             elapsed = time.perf_counter() - start
             final = result.final_test_fer
             spread_ma = curve_spread(result.test_records, "ma")
@@ -86,6 +98,7 @@ def run_study(configs, seeds):
             )
         n = len(seeds)
         print(f"ema_beats_bmuf: {ema_beats_bmuf}/{n}   ema_steadier_than_ma: {ema_steadier}/{n}")
+        print(f"failed_seeds: {failed}/{n}")
         print()
 
 

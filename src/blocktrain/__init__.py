@@ -32,6 +32,7 @@ from .experiment import (
     ConfigError,
     ExperimentConfig,
     ExperimentResult,
+    TrainingError,
     run_experiment,
     write_run_artifacts,
 )
@@ -42,6 +43,7 @@ from .models import (
     MlpSpec,
     backward,
     forward_loss,
+    forward_workspace,
     init_params,
     param_count,
     predict_frames,

@@ -12,6 +12,7 @@ from .experiment import (
     FINAL_HEADER,
     ConfigError,
     ExperimentConfig,
+    TrainingError,
     run_experiment,
     write_run_artifacts,
 )
@@ -103,6 +104,9 @@ def main(argv: Sequence[str] | None = None) -> int:
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except TrainingError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 3
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -241,22 +241,25 @@ class Cluster:
     def _local_models(self, block_index: int) -> list[ParamVector]:
         """Every worker's model after one local block, in ascending worker order.
 
-        Serial mode stops at the first failure; threaded mode raises the
-        first failure to arrive, after all replies are in. Either way the
-        error keeps its type and gains the block and worker as a prefix.
+        Both modes raise the failure of the lowest-index failing worker:
+        serial mode stops there, threaded mode waits for every reply and
+        sorts them by worker. The error keeps its type and gains the block
+        and worker as a prefix.
         """
         if self.threaded:
             for inbox in self._inboxes:
                 inbox.put(block_index)
-            replies = [self._results.get() for _ in self.workers]
+            replies = sorted(
+                (self._results.get() for _ in self.workers), key=lambda r: r[0]
+            )
         else:
             replies = (self._train(w, block_index) for w in self.workers)
-        models = [None] * len(self.workers)
+        models = []
         for index, model, exc in replies:
             if exc is not None:
                 exc.args = (f"block {block_index}, worker {index}: {exc}",)
                 raise exc
-            models[index] = model
+            models.append(model)
         return models
 
     def _aggregate(self, results: list[ParamVector]) -> ParamVector:

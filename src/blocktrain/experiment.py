@@ -34,6 +34,7 @@ from .sync import Checkpoint, ShadowState, SyncState
 
 __all__ = [
     "ConfigError",
+    "TrainingError",
     "ExperimentConfig",
     "ExperimentResult",
     "run_experiment",
@@ -60,6 +61,12 @@ class ConfigError(ValueError):
     def __init__(self, key: str, message: str) -> None:
         super().__init__(f"config key '{key}': {message}")
         self.key = key
+
+
+class TrainingError(RuntimeError):
+    """A block of training failed: a worker crashed or diverged, or the
+    coordinator's filter or shadow update did. The message is the block's
+    (``block 9, worker 4: ...``); the original error is the ``__cause__``."""
 
 
 @dataclass(frozen=True)
@@ -360,7 +367,10 @@ def run_experiment(
         threaded=threaded,
     ) as cluster:
         for t in range(1, config.epochs * blocks_per_epoch + 1):
-            state = cluster.run_block()
+            try:
+                state = cluster.run_block()
+            except Exception as exc:
+                raise TrainingError(str(exc)) from exc
             if trajectory is not None:
                 trajectory.append(state.global_model)
             tag = checkpoint_tags.get(t)

@@ -7,7 +7,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .models import Batch, ModelSpec, predict_frames
+from .models import Batch, ModelSpec, forward_workspace, predict_frames
 from .sync import Checkpoint
 
 __all__ = [
@@ -51,11 +51,15 @@ def evaluate_checkpoints(
     """FER of every checkpoint on ``eval_set``, in checkpoint order.
 
     Evaluation is read-only: parameters are immutable and only the forward
-    pass runs.
+    pass runs. Every checkpoint's forward writes into one workspace, so the
+    activations are allocated once per call, not once per checkpoint.
     """
+    workspace = forward_workspace(spec, eval_set.num_frames)
     records = []
     for cp in checkpoints:
-        preds = predict_frames(spec, cp.params, eval_set.inputs, eval_set.seq_lengths)
+        preds = predict_frames(
+            spec, cp.params, eval_set.inputs, eval_set.seq_lengths, workspace=workspace
+        )
         fer = frame_error_rate(preds, eval_set.targets)
         records.append(EvalRecord(cp.strategy, cp.epoch, fer))
     return records

@@ -12,7 +12,10 @@ is the forward plus the softmax cross-entropy, :func:`backward` adds the
 error signal and the backprop, and :func:`predict_frames` takes the argmax
 of the logits. The recurrent model runs exact backpropagation through time
 within each sequence, resets its state at sequence boundaries, and runs
-equal-length sequences as one batch; prediction keeps no BPTT caches.
+equal-length sequences as one batch; prediction keeps no BPTT caches. An
+MLP forward can write its layer outputs into a caller's workspace
+(:func:`forward_workspace`), so that evaluating many checkpoints on one set
+allocates its activations once.
 
 Parameter packing (row-major, in order):
 
@@ -48,6 +51,7 @@ __all__ = [
     "forward_loss",
     "backward",
     "predict_frames",
+    "forward_workspace",
 ]
 
 
@@ -282,14 +286,31 @@ def _length_groups(lengths: Sequence[int]) -> dict[int, list[tuple[int, int]]]:
 # MLP forward/backprop
 
 
+def forward_workspace(spec: ModelSpec, rows: int) -> list[np.ndarray] | None:
+    """Output arrays for every layer of an MLP forward over ``rows`` frames,
+    to pass as ``workspace`` to :func:`predict_frames`; ``None`` for an LSTM,
+    whose forward always allocates."""
+    if not isinstance(spec, MlpSpec):
+        return None
+    return [np.empty((rows, d_out)) for d_out in spec.layer_sizes[1:]]
+
+
 def _mlp_forward(
-    spec: MlpSpec, values: np.ndarray, batch: Batch
+    spec: MlpSpec,
+    values: np.ndarray,
+    batch: Batch,
+    out: list[np.ndarray] | None = None,
 ) -> tuple[np.ndarray, list[np.ndarray]]:
-    """Logits plus every layer's input activations."""
+    """Logits plus every layer's input activations.
+
+    Layer ``l`` writes its output into ``out[l]`` when given (see
+    :func:`forward_workspace`), else into a fresh array; the matmul is the
+    same BLAS call either way, so the bits are too.
+    """
     layers = _mlp_views(spec, values)
     acts = [batch.inputs]
     for idx, (w, b) in enumerate(layers):
-        z = acts[-1] @ w
+        z = np.matmul(acts[-1], w, out=None if out is None else out[idx])
         z += b
         acts.append(z if idx == len(layers) - 1 else _sigmoid(z, out=z))
     return acts.pop(), acts
@@ -427,14 +448,17 @@ def _forward(
     params: ParamVector | np.ndarray,
     batch: Batch,
     keep_cache: bool = False,
+    workspace: list[np.ndarray] | None = None,
 ) -> tuple[np.ndarray, Callable[[np.ndarray, np.ndarray], None]]:
     """Logits in frame order plus ``backprop(delta, gvec)``, which adds the
     gradient for the logit error ``delta`` into ``gvec``; it needs
-    ``keep_cache=True``, without which the recurrent model keeps no caches."""
+    ``keep_cache=True``, without which the recurrent model keeps no caches.
+    An MLP writes its layer outputs, logits included, into ``workspace``
+    when given."""
     _check_call(spec, params, batch)
     values = params.values if isinstance(params, ParamVector) else params
     if isinstance(spec, MlpSpec):
-        logits, acts = _mlp_forward(spec, values, batch)
+        logits, acts = _mlp_forward(spec, values, batch, workspace)
         return logits, partial(_mlp_backprop, spec, values, acts)
     logits, groups = _lstm_forward(spec, values, batch, keep_cache)
     return logits, partial(_lstm_backprop, spec, values, groups)
@@ -472,15 +496,19 @@ def predict_frames(
     params: ParamVector,
     inputs: np.ndarray,
     seq_lengths: Sequence[int] | None = None,
+    *,
+    workspace: list[np.ndarray] | None = None,
 ) -> np.ndarray:
     """Most likely class per frame; ties resolve to the lowest class index.
 
     ``seq_lengths`` segments the frames into sequences for recurrent models
     (default: one sequence). Softmax is monotone, so the argmax is taken on
-    the logits directly.
+    the logits directly. ``workspace`` is :func:`forward_workspace` for this
+    spec and frame count; the forward overwrites it, and the returned
+    predictions are a fresh array either way.
     """
     inputs = np.asarray(inputs, dtype=np.float64)
     dummy = np.zeros(inputs.shape[:1], dtype=np.int64)
     batch = Batch(inputs, dummy, tuple(seq_lengths) if seq_lengths else ())
-    logits, _ = _forward(spec, params, batch)
+    logits, _ = _forward(spec, params, batch, workspace=workspace)
     return np.argmax(logits, axis=1)

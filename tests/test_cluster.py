@@ -1,5 +1,6 @@
 import sys
 import threading
+import time
 from dataclasses import replace
 
 import numpy as np
@@ -339,6 +340,56 @@ class TestCluster:
         assert error in str(failure.value)
         assert "block 1" in str(failure.value)
         assert "worker 1" in str(failure.value)
+
+    @pytest.mark.parametrize("threaded", [True, False], ids=["threaded", "serial"])
+    def test_lowest_failing_worker_named(self, threaded, monkeypatch):
+        # workers 1 and 2 fail in block 1; worker 1 fails last, so threaded
+        # replies arrive with the higher-index failure first
+        train = WorkerState.run_local_block
+
+        def failing(self, spec, params, velocity, config):
+            if self.index == 1:
+                time.sleep(0.2)
+                raise FloatingPointError("slow failure")
+            if self.index == 2:
+                raise KeyError("fast failure")
+            train(self, spec, params, velocity, config)
+
+        monkeypatch.setattr(WorkerState, "run_local_block", failing)
+        spec, workers, sync, shadow, config = tiny_setup(4, "decentralized")
+
+        def body():
+            with Cluster(
+                spec, workers, sync, shadow, config, threaded=threaded
+            ) as cluster:
+                cluster.run_block()
+
+        with pytest.raises(FloatingPointError) as failure:
+            bounded(body, timeout=30)
+        assert str(failure.value) == "block 1, worker 1: slow failure"
+
+    @pytest.mark.parametrize("threaded", [True, False], ids=["threaded", "serial"])
+    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
+    @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+    def test_two_diverged_workers_name_the_lower(self, threaded):
+        bad, velocity, _ = DIVERGE
+        spec, workers, sync, shadow, config = tiny_setup(4, "centralized")
+        config = replace(config, momentum=0.9)
+        for i in (1, 3):
+            workers[i] = WorkerState(i, (bad,), make_rng(i))
+
+        def body():
+            with Cluster(
+                spec, workers, sync, shadow, config, threaded=threaded
+            ) as cluster:
+                cluster.velocity[[1, 3]] = velocity
+                cluster.run_block()
+
+        with pytest.raises(ValueError) as failure:
+            bounded(body, timeout=30)
+        assert str(failure.value) == (
+            "block 1, worker 1: parameter vector contains non-finite values"
+        )
 
     @pytest.mark.parametrize("threaded", [True, False])
     def test_coordinator_exception_names_block(self, threaded):

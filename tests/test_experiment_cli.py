@@ -6,13 +6,18 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from blocktrain import experiment
 from blocktrain.cli import main
 from blocktrain.experiment import (
     ConfigError,
     ExperimentConfig,
+    TrainingError,
     run_experiment,
     write_run_artifacts,
 )
+from blocktrain.metrics import shadow_verdicts
+
+ROOT = Path(__file__).resolve().parent.parent
 
 # a deliberately small but non-degenerate setup: 20 train utterances per
 # worker at block_size 2 gives 10 blocks per epoch
@@ -35,6 +40,17 @@ TINY = ExperimentConfig(
     epochs=1,
     seed=77,
 )
+
+
+# the default MLP with a learning rate that overflows its parameters in the
+# first epoch, in the same block and worker under both threading modes
+DIVERGING = replace(
+    ExperimentConfig.from_file(ROOT / "configs" / "default_mlp.cfg"),
+    learning_rate=1e306,
+    momentum=0.99,
+    epochs=1,
+)
+DIVERGED = "block 9, worker 4: parameter vector contains non-finite values"
 
 
 def write_tiny_config(path, **overrides):
@@ -133,6 +149,12 @@ class TestRunExperiment:
     def test_trajectory_recording(self):
         result = run_experiment(TINY, threaded=False, record_trajectory=True)
         assert len(result.trajectory) == TINY.epochs * result.blocks_per_epoch
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_training_failure_keeps_original_error_as_cause(self):
+        with pytest.raises(TrainingError, match=f"^{DIVERGED}$") as failure:
+            run_experiment(DIVERGING, threaded=False)
+        assert type(failure.value.__cause__) is ValueError
 
     def test_too_few_blocks_per_epoch_rejected(self):
         with pytest.raises(ConfigError, match="block_size"):
@@ -289,6 +311,30 @@ class TestCliRun:
         assert code == 1
         assert "error" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("flags", [[], ["--single-thread"]], ids=["threaded", "serial"])
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_diverging_run_ends_in_one_error_line(self, tmp_path, capsys, flags):
+        cfg_path = tmp_path / "exp.cfg"
+        DIVERGING.to_file(cfg_path)
+        out = tmp_path / "out"
+        code = main(["run", "--config", str(cfg_path), "--out", str(out), *flags])
+        captured = capsys.readouterr()
+        assert code == 3
+        assert captured.err.splitlines()[-1] == f"error: {DIVERGED}"
+        assert "Traceback" not in captured.err
+        assert captured.out == ""
+        assert not out.exists()
+
+    def test_failure_outside_training_keeps_its_traceback(self, tmp_path, monkeypatch):
+        def broken(*args):
+            raise ZeroDivisionError("evaluation bug")
+
+        monkeypatch.setattr(experiment, "evaluate_checkpoints", broken)
+        cfg_path = tmp_path / "exp.cfg"
+        write_tiny_config(cfg_path)
+        with pytest.raises(ZeroDivisionError, match="evaluation bug"):
+            main(["run", "--config", str(cfg_path), "--out", str(tmp_path / "out")])
+
     def test_degenerate_collapse_bmuf_equals_ema(self, tmp_path):
         cfg_path = tmp_path / "exp.cfg"
         write_tiny_config(cfg_path, block_momentum=0.0, block_learning_rate=1.0, ema_rate=0.0)
@@ -404,3 +450,37 @@ class TestSeedSweepOverrides:
         err = capsys.readouterr().err
         assert err.startswith("error: ")
         assert "'gpt'" in err
+
+
+class TestSeedSweepFailures:
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_diverging_seeds_reported_and_sweep_continues(self, capsys):
+        overrides = ["learning_rate=1e306", "momentum=0.99", "epochs=1"]
+        load_seed_sweep().main(
+            ["--seeds", "2", "--models", "mlp"] + [a for o in overrides for a in ("--set", o)]
+        )
+        lines = capsys.readouterr().out.splitlines()
+        failures = [line for line in lines if "error: " in line]
+        assert [line.split()[0] for line in failures] == ["0", "1"]
+        assert all("parameter vector contains non-finite values" in line for line in failures)
+        assert "ema_beats_bmuf: 0/2   ema_steadier_than_ma: 0/2" in lines
+        assert "failed_seeds: 2/2" in lines
+
+    def test_failed_seed_counts_toward_neither_verdict(self, capsys, monkeypatch):
+        sweep = load_seed_sweep()
+        results = []
+
+        def seed_0_fails(config, **kw):
+            if config.seed == 0:
+                raise TrainingError("block 3, worker 2: boom")
+            results.append(run_experiment(config, **kw))
+            return results[-1]
+
+        monkeypatch.setattr(sweep, "run_experiment", seed_0_fails)
+        sweep.main(["--seeds", "2", "--models", "mlp", "--set", "epochs=1"])
+        lines = capsys.readouterr().out.splitlines()
+        beats, steadier = shadow_verdicts(results[0].final_test_fer, results[0].test_records)
+        assert lines[2] == "0     error: block 3, worker 2: boom"
+        assert lines[3].startswith("1  ")
+        assert f"ema_beats_bmuf: {beats:d}/2   ema_steadier_than_ma: {steadier:d}/2" in lines
+        assert "failed_seeds: 1/2" in lines

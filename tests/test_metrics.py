@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from blocktrain import metrics
 from blocktrain.data import generate_corpus, stack_frames
 from blocktrain.metrics import (
     EvalRecord,
@@ -10,7 +11,7 @@ from blocktrain.metrics import (
     frame_error_rate,
     shadow_verdicts,
 )
-from blocktrain.models import Batch, MlpSpec, init_params
+from blocktrain.models import Batch, LstmSpec, MlpSpec, init_params, predict_frames
 from blocktrain.numerics import ParamVector, make_rng
 from blocktrain.sync import Checkpoint
 
@@ -104,6 +105,45 @@ class TestEvaluateCheckpoints:
         batch = eval_batch_from_corpus()
         evaluate_checkpoints([Checkpoint("ma", 2, 0.5, params)], batch, spec)
         assert params.values.tobytes() == before
+
+    @pytest.mark.parametrize(
+        "spec", [MlpSpec((8, 6, 5)), MlpSpec((8, 64, 64, 5)), LstmSpec(8, 4, 2, 5)]
+    )
+    def test_records_equal_fresh_allocation_loop(self, spec):
+        rng = make_rng(11)
+        batch = eval_batch_from_corpus()
+        checkpoints = [
+            Checkpoint(strategy, q, q / 4, init_params(spec, rng))
+            for q in (1, 2)
+            for strategy in ("bmuf", "ma", "ema")
+        ]
+        want = [
+            EvalRecord(
+                cp.strategy,
+                cp.epoch,
+                frame_error_rate(
+                    predict_frames(spec, cp.params, batch.inputs, batch.seq_lengths),
+                    batch.targets,
+                ),
+            )
+            for cp in checkpoints
+        ]
+        assert evaluate_checkpoints(checkpoints, batch, spec) == want
+
+    def test_one_workspace_for_every_checkpoint(self, monkeypatch):
+        seen = []
+
+        def spy(*args, workspace=None):
+            seen.append(workspace)
+            return predict_frames(*args, workspace=workspace)
+
+        monkeypatch.setattr(metrics, "predict_frames", spy)
+        spec = MlpSpec((8, 6, 5))
+        rng = make_rng(13)
+        checkpoints = [Checkpoint("bmuf", q, q / 4, init_params(spec, rng)) for q in (1, 2, 3)]
+        evaluate_checkpoints(checkpoints, eval_batch_from_corpus(), spec)
+        assert len(seen) == 3 and seen[0] is not None
+        assert all(w is seen[0] for w in seen)
 
     def test_spec_mismatch_raises(self):
         spec = MlpSpec((8, 6, 5))

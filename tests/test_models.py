@@ -12,6 +12,7 @@ from blocktrain.models import (
     _softmax_ce,
     backward,
     forward_loss,
+    forward_workspace,
     init_params,
     param_count,
     predict_frames,
@@ -294,13 +295,68 @@ class TestSigmoid:
 class TestEvaluationLogits:
     @pytest.mark.parametrize("sizes", [(36, 256, 256, 8), (36, 32, 8)])
     def test_mlp_logits_bitwise_equal_allocating_reference(self, sizes):
-        # the FER digests round logits to a class; this pins their bits
+        # the FER digests round logits to a class; this pins their bits, with
+        # and without a workspace, at the test and validation set sizes
         rng = make_rng(47)
         spec = MlpSpec(sizes)
         params = init_params(spec, rng)
-        inputs = rng.normal(size=(4000, sizes[0]))
-        logits, _ = _forward(spec, params, Batch(inputs, np.zeros(4000, dtype=int)))
-        assert np.array_equal(logits, mlp_logits_reference(spec, params.values, inputs))
+        for rows in (4000, 2000):
+            inputs = rng.normal(size=(rows, sizes[0]))
+            batch = Batch(inputs, np.zeros(rows, dtype=int))
+            want = mlp_logits_reference(spec, params.values, inputs)
+            logits, _ = _forward(spec, params, batch)
+            assert np.array_equal(logits, want)
+            workspace = forward_workspace(spec, rows)
+            logits, _ = _forward(spec, params, batch, workspace=workspace)
+            assert np.array_equal(logits, want)
+            assert np.array_equal(
+                predict_frames(spec, params, inputs, workspace=workspace),
+                predict_frames(spec, params, inputs),
+            )
+
+
+class TestForwardWorkspace:
+    def test_one_array_per_layer(self):
+        workspace = forward_workspace(MlpSpec((36, 256, 256, 8)), 4000)
+        assert [w.shape for w in workspace] == [(4000, 256), (4000, 256), (4000, 8)]
+        assert all(w.dtype == np.float64 and w.flags.c_contiguous for w in workspace)
+
+    def test_reuse_across_checkpoints_keeps_each_result(self):
+        # one workspace for checkpoints A, B, A, as evaluation reuses it
+        rng = make_rng(59)
+        spec = MlpSpec((36, 32, 8))
+        a, b = init_params(spec, rng), init_params(spec, rng)
+        inputs = rng.normal(size=(500, 36))
+        workspace = forward_workspace(spec, 500)
+        first = predict_frames(spec, a, inputs, workspace=workspace)
+        kept = first.copy()
+        other = predict_frames(spec, b, inputs, workspace=workspace)
+        again = predict_frames(spec, a, inputs, workspace=workspace)
+        assert not np.array_equal(first, other)
+        assert np.array_equal(first, kept)
+        assert np.array_equal(again, kept)
+        assert np.array_equal(again, predict_frames(spec, a, inputs))
+        assert np.array_equal(other, predict_frames(spec, b, inputs))
+
+    def test_predictions_do_not_alias_workspace(self):
+        rng = make_rng(61)
+        spec = MlpSpec((6, 9, 4))
+        inputs = rng.normal(size=(20, 6))
+        workspace = forward_workspace(spec, 20)
+        preds = predict_frames(spec, init_params(spec, rng), inputs, workspace=workspace)
+        assert not any(np.shares_memory(preds, w) for w in workspace)
+
+    def test_lstm_has_none_and_predictions_unchanged(self):
+        rng = make_rng(67)
+        spec = LstmSpec(6, 5, 2, 4)
+        params = init_params(spec, rng)
+        inputs = rng.normal(size=(11, 6))
+        workspace = forward_workspace(spec, 11)
+        assert workspace is None
+        assert np.array_equal(
+            predict_frames(spec, params, inputs, (4, 3, 4), workspace=workspace),
+            predict_frames(spec, params, inputs, (4, 3, 4)),
+        )
 
 
 class TestCallerMemory:
