@@ -7,7 +7,9 @@ under the decentralized one), the filtered global update runs, the shadows
 observe it, and the new global model is broadcast back before the next block
 may start. Every average goes through one centered-mean kernel
 (:func:`~blocktrain.numerics.centered_mean`) that sums in ascending worker
-order, so all modes and transports produce bit-identical results.
+order, so all modes and transports produce bit-identical results. The
+cluster owns every array a block writes, so a warmed-up block allocates no
+parameter-sized array.
 """
 
 from __future__ import annotations
@@ -20,7 +22,7 @@ from typing import Sequence
 import numpy as np
 
 from .models import Batch, ModelSpec, backward
-from .numerics import ParamVector, centered_mean, frozen, mean_reduce
+from .numerics import NON_FINITE, ParamVector, as_rows, centered_mean, frozen, mean_reduce
 from .optim import sgd_step
 from .sync import ShadowState, SyncState, bmuf_apply, shadow_update
 
@@ -103,24 +105,30 @@ def make_shard_plan(param_len: int, num_workers: int) -> ShardPlan:
 
 
 def decentralized_aggregate(
-    local_models: Sequence[ParamVector], plan: ShardPlan
+    local_models: Sequence[ParamVector] | np.ndarray,
+    plan: ShardPlan,
+    *,
+    out: np.ndarray | None = None,
+    work: np.ndarray | None = None,
 ) -> ParamVector:
     """Shard-wise mean over workers, reassembled into a full vector.
 
     Each shard is averaged with :func:`~blocktrain.numerics.centered_mean`,
     the kernel :func:`~blocktrain.numerics.mean_reduce` applies to whole
     vectors, so the result equals the centralized mean bit for bit.
+    ``local_models``, ``out`` and ``work`` are as for ``mean_reduce``.
     """
-    if len(local_models) == 0:
-        raise ValueError("need at least one local model")
-    for v in local_models:
-        if len(v) != plan.param_len:
-            raise ValueError(f"model length {len(v)} does not match plan {plan.param_len}")
-    out = np.empty(plan.param_len)
+    rows = as_rows(local_models)
+    if rows[0].shape[0] != plan.param_len:
+        raise ValueError(
+            f"model length {rows[0].shape[0]} does not match plan {plan.param_len}"
+        )
+    out = np.empty(plan.param_len) if out is None else out
+    tmp = np.empty(plan.param_len) if work is None else work[0]
     for j in range(plan.num_shards):
         lo, hi = plan.range_of(j)
-        out[lo:hi] = centered_mean([v.values[lo:hi] for v in local_models])
-    return ParamVector(frozen(out))
+        centered_mean([row[lo:hi] for row in rows], out[lo:hi], tmp[lo:hi])
+    return ParamVector(frozen(out.view()))
 
 
 @dataclass
@@ -157,33 +165,45 @@ class WorkerState:
         spec: ModelSpec,
         params: np.ndarray,
         velocity: np.ndarray,
+        grad: np.ndarray,
         config: ClusterConfig,
     ) -> None:
-        """``config.block_size`` momentum steps in place on the worker's rows."""
+        """``config.block_size`` momentum steps in place on the worker's rows,
+        with ``grad`` as the gradient buffer of every step."""
         for _ in range(config.block_size):
-            _, grad = backward(spec, params, self.next_batch())
+            backward(spec, params, self.next_batch(), out=grad)
             sgd_step(params, grad, velocity, config.learning_rate, config.momentum)
 
 
 class Cluster:
     """Coordinator plus N workers; one ``run_block`` call per sync block.
 
-    The cluster owns all worker state as two ``(N, P)`` arrays, ``params``
-    (every row starts as the initial global model) and ``velocity`` (zeros);
-    ``workers[i]`` must have index ``i`` and trains in place on row ``i`` of
-    each. Local training (``_local_models``) is the only per-worker part of a
-    block: with ``threaded=False`` the workers train in ascending order on
-    the calling thread; with ``threaded=True`` each is a daemon thread that
-    takes block numbers from its inbox queue and posts back a read-only view
-    of its row. Validating that view is the block's one finiteness check;
-    NaN and inf stay non-finite under later steps, so a worker that diverged
-    anywhere in the block fails in it. The coordinator then averages
-    (``_aggregate``, the one place the transport matters), filters, updates
+    The cluster owns every array a block writes. Worker state is two
+    ``(N, P)`` arrays, ``params`` (every row starts as the initial global
+    model) and ``velocity`` (zeros); ``workers[i]`` must have index ``i``
+    and trains in place on row ``i`` of each, with one gradient row of
+    ``grads`` per training thread. With ``threaded=False`` the workers train
+    in ascending order on the calling thread and share one gradient row;
+    with ``threaded=True`` each is a daemon thread that takes block numbers
+    from its inbox queue and posts back only the error it raised, if any. The
+    coordinator then averages the rows of ``params`` (``_synchronize``; the
+    transport is the one choice there) into its own buffer, filters, updates
     the shadows and assigns the new global model to every row of ``params``
     while the workers wait at the barrier, so both modes and both transports
-    produce bitwise-identical trajectories. A failure is raised from
-    ``run_block`` with the block named, and the worker too when local
-    training failed or diverged; the cluster is then only fit to be closed.
+    produce bitwise-identical trajectories. The filter and shadows write
+    into the cluster's own pairs of arrays, so the returned ``sync_state``
+    and ``shadow_state`` are views that the next block overwrites: copy what
+    you keep.
+
+    Finiteness is checked once per block, on the average: NaN and inf stay
+    non-finite under the local steps and the mean, so a worker that diverged
+    anywhere in the block fails it. Only then are the rows scanned, to name
+    the lowest diverged worker. A failure is raised from ``run_block`` with
+    the block named, and the worker too when local training failed or
+    diverged (the lowest index of either kind, in both modes); numpy's
+    overflow warnings are silenced on every thread that trains or syncs,
+    since the check reports the divergence. The cluster is then only fit to
+    be closed.
     """
 
     def __init__(
@@ -205,10 +225,18 @@ class Cluster:
         self.shadow_state = shadow_state
         self.config = config
         self.threaded = threaded
-        self.plan = make_shard_plan(len(sync_state.global_model), len(self.workers))
+        length = len(sync_state.global_model)
+        self.plan = make_shard_plan(length, len(self.workers))
         self.params = np.tile(sync_state.global_model.values, (len(self.workers), 1))
         self.velocity = np.zeros_like(self.params)
         on_threads = self.workers if threaded else []
+        self.grads = np.empty((len(on_threads) or 1, length))
+        # the coordinator's arrays: the average, the filter's (global, delta),
+        # the shadows' (MA, EMA) and scratch
+        self._mean = np.empty(length)
+        self._sync_out = np.empty((2, length))
+        self._shadow_out = np.empty((2, length))
+        self._work = np.empty((2, length))
         self._results: queue.Queue = queue.Queue()
         self._inboxes = [queue.Queue() for _ in on_threads]
         self._threads = [
@@ -220,52 +248,80 @@ class Cluster:
 
     # -- worker side ---------------------------------------------------
 
-    def _train(self, w: WorkerState, block_index: int) -> tuple:
-        """One local block on ``w``, as ``(index, local model, error)``."""
+    def _train(self, w: WorkerState, grad: np.ndarray) -> BaseException | None:
+        """One local block on ``w``; the error it raised, if any."""
         try:
-            row = self.params[w.index]
-            w.run_local_block(self.spec, row, self.velocity[w.index], self.config)
-            # the coordinator reads this view only before the broadcast
-            # overwrites the row
-            return w.index, ParamVector(frozen(row.view())), None
+            with np.errstate(over="ignore", invalid="ignore"):
+                w.run_local_block(
+                    self.spec,
+                    self.params[w.index],
+                    self.velocity[w.index],
+                    grad,
+                    self.config,
+                )
         except BaseException as exc:  # handed to the coordinator, which raises it
-            return w.index, None, exc
+            return exc
+        return None
 
     def _worker_loop(self, w: WorkerState) -> None:
         inbox = self._inboxes[w.index]
-        while (block_index := inbox.get()) is not None:
-            self._results.put(self._train(w, block_index))
+        grad = self.grads[w.index]
+        while inbox.get() is not None:
+            self._results.put((w.index, self._train(w, grad)))
 
     # -- coordinator side ----------------------------------------------
 
-    def _local_models(self, block_index: int) -> list[ParamVector]:
-        """Every worker's model after one local block, in ascending worker order.
-
-        Both modes raise the failure of the lowest-index failing worker:
-        serial mode stops there, threaded mode waits for every reply and
-        sorts them by worker. The error keeps its type and gains the block
-        and worker as a prefix.
-        """
+    def _train_workers(
+        self, block_index: int
+    ) -> tuple[int | None, BaseException | None]:
+        """One local block on every worker: ``(None, None)``, or the lowest
+        failing worker and its error. Serial mode stops at the first
+        failure; threaded mode waits for every reply."""
         if self.threaded:
             for inbox in self._inboxes:
                 inbox.put(block_index)
-            replies = sorted(
-                (self._results.get() for _ in self.workers), key=lambda r: r[0]
-            )
-        else:
-            replies = (self._train(w, block_index) for w in self.workers)
-        models = []
-        for index, model, exc in replies:
+            replies = [self._results.get() for _ in self.workers]
+            failures = [reply for reply in replies if reply[1] is not None]
+            return min(failures, key=lambda reply: reply[0], default=(None, None))
+        for w in self.workers:
+            exc = self._train(w, self.grads[0])
             if exc is not None:
-                exc.args = (f"block {block_index}, worker {index}: {exc}",)
-                raise exc
-            models.append(model)
-        return models
+                return w.index, exc
+        return None, None
 
-    def _aggregate(self, results: list[ParamVector]) -> ParamVector:
+    def _synchronize(self) -> None:
+        """Average the rows of ``params``, filter, update the shadows, all
+        into the cluster's own arrays."""
         if self.config.transport == "centralized":
-            return mean_reduce(results)
-        return decentralized_aggregate(results, self.plan)
+            theta_bar = mean_reduce(self.params, out=self._mean, work=self._work)
+        else:
+            theta_bar = decentralized_aggregate(
+                self.params, self.plan, out=self._mean, work=self._work
+            )
+        self.sync_state = bmuf_apply(
+            self.sync_state, theta_bar, out=self._sync_out, work=self._work
+        )
+        if self.shadow_state is not None:
+            self.shadow_state = shadow_update(
+                self.shadow_state,
+                self.sync_state.global_model,
+                out=self._shadow_out,
+                work=self._work,
+            )
+
+    def _blame(
+        self, exc: BaseException, block_index: int, worker: int | None
+    ) -> BaseException:
+        """``exc`` prefixed with its block and, when local training failed,
+        the worker. The lowest worker below ``worker`` (below N when no
+        worker failed) whose parameters are not all finite takes the blame
+        instead, with the divergence error."""
+        finite = np.isfinite(self.params[:worker]).all(axis=1)
+        if not finite.all():
+            worker, exc = int(finite.argmin()), ValueError(NON_FINITE)
+        where = f"block {block_index}" + ("" if worker is None else f", worker {worker}")
+        exc.args = (f"{where}: {exc}",)
+        return exc
 
     def run_block(self) -> SyncState:
         """Train one block on every worker, synchronize, broadcast.
@@ -275,16 +331,15 @@ class Cluster:
         ``reset_momentum`` is set.
         """
         block_index = self.sync_state.block_index + 1
-        theta_bar = self._aggregate(self._local_models(block_index))
-        try:
-            self.sync_state = bmuf_apply(self.sync_state, theta_bar)
-            if self.shadow_state is not None:
-                self.shadow_state = shadow_update(
-                    self.shadow_state, self.sync_state.global_model
-                )
-        except Exception as exc:  # same prefix as a worker failure, minus the worker
-            exc.args = (f"block {block_index}: {exc}",)
-            raise
+        worker, exc = self._train_workers(block_index)
+        if exc is None:
+            try:
+                with np.errstate(over="ignore", invalid="ignore"):
+                    self._synchronize()
+            except Exception as sync_exc:
+                exc = sync_exc
+        if exc is not None:
+            raise self._blame(exc, block_index, worker)
         # every worker is idle at the barrier, so the coordinator installs the
         # broadcast itself
         self.params[...] = self.sync_state.global_model.values

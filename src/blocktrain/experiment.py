@@ -356,6 +356,8 @@ def run_experiment(
         for q in (1, 2, 3, 4):
             block = e * blocks_per_epoch + math.ceil(q * blocks_per_epoch / 4)
             checkpoint_tags[block] = e + q / 4
+    # the cluster overwrites its sync and shadow state on every block, so
+    # the trajectory and the checkpoints keep copies
     trajectory: list[ParamVector] | None = [] if record_trajectory else None
     checkpoints: list[Checkpoint] = []
     with Cluster(
@@ -372,19 +374,22 @@ def run_experiment(
             except Exception as exc:
                 raise TrainingError(str(exc)) from exc
             if trajectory is not None:
-                trajectory.append(state.global_model)
+                trajectory.append(state.global_model.copy())
             tag = checkpoint_tags.get(t)
             if tag is not None:
-                checkpoints.append(Checkpoint("bmuf", t, tag, state.global_model))
+                checkpoints.append(Checkpoint("bmuf", t, tag, state.global_model.copy()))
                 if cluster.shadow_state is not None:
                     checkpoints.append(
-                        Checkpoint("ma", t, tag, cluster.shadow_state.ma_model)
+                        Checkpoint("ma", t, tag, cluster.shadow_state.ma_model.copy())
                     )
                     checkpoints.append(
-                        Checkpoint("ema", t, tag, cluster.shadow_state.ema_model)
+                        Checkpoint("ema", t, tag, cluster.shadow_state.ema_model.copy())
                     )
         final_sync = cluster.sync_state
         final_shadow = cluster.shadow_state
+    # the final states keep only their own buffers alive; the (N, P) arrays
+    # go before evaluation
+    del cluster
     val_batch = _concat_batch(val, config.stack)
     test_batch = _concat_batch(test, config.stack)
     val_records = evaluate_checkpoints(checkpoints, val_batch, spec)

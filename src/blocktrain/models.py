@@ -5,17 +5,19 @@ A spec describes the architecture, a :class:`~blocktrain.numerics.ParamVector`
 functions below unpack views into that vector on the fly. Each family has
 one forward pass, which returns logits in the batch's frame order plus the
 state its backprop needs (``_mlp_forward``, ``_lstm_forward``), and one
-backprop, which adds the gradient for a given logit error into a flat
-gradient vector (``_mlp_backprop``, ``_lstm_backprop``). ``_forward`` is the
-one family dispatch behind the three public operations: :func:`forward_loss`
-is the forward plus the softmax cross-entropy, :func:`backward` adds the
-error signal and the backprop, and :func:`predict_frames` takes the argmax
-of the logits. The recurrent model runs exact backpropagation through time
-within each sequence, resets its state at sequence boundaries, and runs
-equal-length sequences as one batch; prediction keeps no BPTT caches. An
-MLP forward can write its layer outputs into a caller's workspace
-(:func:`forward_workspace`), so that evaluating many checkpoints on one set
-allocates its activations once.
+backprop, which writes the gradient for a given logit error into every
+element of a flat gradient vector (``_mlp_backprop``, ``_lstm_backprop``).
+``_forward`` is the one family dispatch behind the three public operations:
+:func:`forward_loss` is the forward plus the softmax cross-entropy,
+:func:`backward` adds the error signal and the backprop, and
+:func:`predict_frames` takes the argmax of the logits. The recurrent model
+runs exact backpropagation through time within each sequence, resets its
+state at sequence boundaries, and runs equal-length sequences as one batch;
+prediction keeps no BPTT caches. An MLP forward can write its layer
+outputs into a caller's workspace (:func:`forward_workspace`), so that
+evaluating many checkpoints on one set allocates its activations once, and
+:func:`backward` can write the gradient into a caller's buffer, so that a
+training worker allocates no parameter-sized array per step.
 
 Parameter packing (row-major, in order):
 
@@ -324,8 +326,12 @@ def _mlp_backprop(
     for idx in range(len(layers) - 1, -1, -1):
         w, _ = layers[idx]
         gw, gb = gviews[idx]
-        gw += acts[idx].T @ delta
-        gb += delta.sum(axis=0)
+        # written straight into gvec; ``+= 0.0`` keeps the bits of adding into
+        # zeros (``0.0 + x``), which turns -0.0 into +0.0
+        np.matmul(acts[idx].T, delta, out=gw)
+        gw += 0.0
+        np.sum(delta, axis=0, out=gb)
+        gb += 0.0
         if idx > 0:
             a = acts[idx]
             delta = delta @ w.T
@@ -428,6 +434,7 @@ def _lstm_backprop(
     spec: LstmSpec, values: np.ndarray, groups: list, delta: np.ndarray, gvec: np.ndarray
 ) -> None:
     layers, w_out, _ = _lstm_views(spec, values)
+    gvec.fill(0.0)
     gl, gw_out, gb_out = _lstm_views(spec, gvec)
     for spans, h_top, caches in groups:
         d = np.concatenate([delta[lo:hi] for lo, hi in spans])
@@ -450,8 +457,8 @@ def _forward(
     keep_cache: bool = False,
     workspace: list[np.ndarray] | None = None,
 ) -> tuple[np.ndarray, Callable[[np.ndarray, np.ndarray], None]]:
-    """Logits in frame order plus ``backprop(delta, gvec)``, which adds the
-    gradient for the logit error ``delta`` into ``gvec``; it needs
+    """Logits in frame order plus ``backprop(delta, gvec)``, which writes the
+    gradient for the logit error ``delta`` into all of ``gvec``; it needs
     ``keep_cache=True``, without which the recurrent model keeps no caches.
     An MLP writes its layer outputs, logits included, into ``workspace``
     when given."""
@@ -472,21 +479,32 @@ def forward_loss(spec: ModelSpec, params: ParamVector, batch: Batch) -> float:
 
 
 def backward(
-    spec: ModelSpec, params: ParamVector | np.ndarray, batch: Batch
+    spec: ModelSpec,
+    params: ParamVector | np.ndarray,
+    batch: Batch,
+    out: np.ndarray | None = None,
 ) -> tuple[float, np.ndarray]:
     """Loss plus its gradient with respect to every parameter.
 
     ``params`` may be a worker's own writable parameter array. The gradient
-    is a fresh array the caller owns. The returned loss is bitwise the value
-    :func:`forward_loss` computes on the same inputs; both run the identical
-    forward code.
+    is written into every element of ``out`` (a C-contiguous float64 array
+    of the parameter count, never ``params`` itself) and returned; without
+    ``out`` the same code writes a fresh array. The returned loss is bitwise
+    the value :func:`forward_loss` computes on the same inputs; both run the
+    identical forward code.
     """
+    if out is not None and not (
+        out.shape == (len(params),)
+        and out.dtype == np.float64
+        and out.flags.c_contiguous
+    ):
+        raise ValueError("out must be a C-contiguous float64 array of the parameter count")
     logits, backprop = _forward(spec, params, batch, keep_cache=True)
     delta, frame_ce = _softmax_ce(logits, batch.targets)
     # the error signal d(mean cross-entropy)/d(logits): (softmax - one-hot) / frames
     delta[np.arange(batch.num_frames), batch.targets] -= 1.0
     delta /= batch.num_frames
-    gvec = np.zeros(len(params))
+    gvec = np.empty(len(params)) if out is None else out
     backprop(delta, gvec)
     return float(frame_ce.sum() / batch.num_frames), gvec
 

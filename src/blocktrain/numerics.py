@@ -2,11 +2,13 @@
 
 Model state that crosses the block barrier travels as a :class:`ParamVector`:
 an immutable, finite, 1-D float64 array holding every trainable parameter of
-one model. Local models handed to the coordinator, the global model, the
-filter accumulator, the shadows and the checkpoints are all ParamVectors.
-The workers train in place on rows of the cluster's plain ``(N, P)`` arrays;
-a worker's parameter row becomes a ParamVector (a zero-copy read-only view,
-validated once) only when handed over at the end of a block.
+one model. The global model, the filter accumulator, the shadows and the
+checkpoints are all ParamVectors. The workers train in place on rows of the
+cluster's plain ``(N, P)`` arrays, and the reductions read those rows
+directly. Each reduction and sync step can write into arrays its caller owns
+(``out=``, with ``work=`` scratch); the ParamVector it returns is then a
+read-only view of ``out``, validated once, that changes when the caller
+next writes there (:meth:`ParamVector.copy` keeps one).
 Reductions always sum in ascending worker order, so the centralized mean and
 the shard-by-shard mean agree bit for bit.
 
@@ -23,10 +25,13 @@ from typing import Sequence
 
 import numpy as np
 
+NON_FINITE = "parameter vector contains non-finite values"
+
 __all__ = [
     "ParamVector",
     "centered_mean",
     "mean_reduce",
+    "as_rows",
     "make_rng",
     "substream",
 ]
@@ -54,7 +59,7 @@ class ParamVector:
         if arr.ndim != 1:
             raise ValueError(f"parameter vector must be 1-D, got shape {arr.shape}")
         if not np.isfinite(arr).all():
-            raise ValueError("parameter vector contains non-finite values")
+            raise ValueError(NON_FINITE)
         if arr.flags.writeable:
             arr = frozen(arr.copy())
         object.__setattr__(self, "values", arr)
@@ -66,39 +71,64 @@ class ParamVector:
     def zeros(length: int) -> "ParamVector":
         return ParamVector(frozen(np.zeros(length)))
 
+    def copy(self) -> "ParamVector":
+        """A vector with its own copy of the values, for keeping a view of
+        an array its owner will overwrite."""
+        return ParamVector(frozen(self.values.copy()))
 
-def centered_mean(parts: Sequence[np.ndarray]) -> np.ndarray:
-    """Mean of equal-length arrays as ``parts[0] + sum_i(parts[i] - parts[0]) / N``.
+
+def centered_mean(parts: Sequence[np.ndarray], out: np.ndarray, work: np.ndarray) -> None:
+    """Mean of equal-length arrays as ``parts[0] + sum_i(parts[i] - parts[0]) / N``,
+    written into ``out``.
 
     The one reduction kernel: it sums in list order (callers pass ascending
     worker index) and keeps the mean of N identical arrays exactly equal to
     that array. Every aggregation path calls it, whole vectors or shard
     slices alike, so each element sees the same operation sequence and all
-    paths agree bit for bit. Returns a new read-only array.
+    paths agree bit for bit. ``work`` is scratch of the same length; neither
+    it nor ``out`` may overlap a part.
     """
     base = parts[0]
-    acc = np.zeros_like(base)
-    tmp = np.empty_like(base)
+    out.fill(0.0)
     for part in parts[1:]:
-        np.subtract(part, base, out=tmp)
-        acc += tmp
-    acc /= len(parts)
-    acc += base
-    return frozen(acc)
+        np.subtract(part, base, out=work)
+        out += work
+    out /= len(parts)
+    out += base
 
 
-def mean_reduce(vs: Sequence[ParamVector]) -> ParamVector:
+def as_rows(vs: Sequence[ParamVector] | np.ndarray) -> list[np.ndarray]:
+    """The equal-length 1-D arrays behind a sequence of ParamVectors, or the
+    rows of an ``(N, P)`` array, in order."""
+    rows = list(vs) if isinstance(vs, np.ndarray) else [v.values for v in vs]
+    if len(rows) == 0:
+        raise ValueError("need at least one vector")
+    for row in rows[1:]:
+        if row.shape != rows[0].shape:
+            raise ValueError(f"length mismatch: {row.shape[0]} vs {rows[0].shape[0]}")
+    return rows
+
+
+def mean_reduce(
+    vs: Sequence[ParamVector] | np.ndarray,
+    *,
+    out: np.ndarray | None = None,
+    work: np.ndarray | None = None,
+) -> ParamVector:
     """Arithmetic mean over workers, summed in ascending worker index
-    (see :func:`centered_mean`)."""
-    if len(vs) == 0:
-        raise ValueError("mean_reduce needs at least one vector")
-    base = vs[0].values
-    for v in vs[1:]:
-        if v.values.shape[0] != base.shape[0]:
-            raise ValueError(
-                f"length mismatch: {v.values.shape[0]} vs {base.shape[0]}"
-            )
-    return ParamVector(centered_mean([v.values for v in vs]))
+    (see :func:`centered_mean`).
+
+    ``vs`` is a sequence of ParamVectors or the rows of an ``(N, P)`` array.
+    The mean is written into ``out`` (length P) and returned as a read-only
+    view of it; ``work`` is ``(2, P)`` scratch. Both are fresh arrays when
+    omitted. Validating the result is the one finiteness check: a
+    non-finite row always makes the mean non-finite.
+    """
+    rows = as_rows(vs)
+    length = rows[0].shape[0]
+    out = np.empty(length) if out is None else out
+    centered_mean(rows, out, np.empty(length) if work is None else work[0])
+    return ParamVector(frozen(out.view()))
 
 
 def make_rng(seed: int) -> np.random.Generator:

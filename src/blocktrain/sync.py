@@ -8,12 +8,18 @@ that observe every synchronization output without ever being broadcast back:
 an equal-weight running mean (MA) and an exponential moving average (EMA).
 Shadows are pure observers; training trajectories are identical with or
 without them.
+
+Both updates can write into arrays the caller owns (``out=``, with ``work=``
+scratch), and ``out`` may be the state's own arrays: the cluster keeps one
+set of buffers and updates its live state in place on every block. Without
+``out`` the same body runs on fresh arrays.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from pathlib import Path
+from typing import Sequence
 
 import numpy as np
 
@@ -97,7 +103,13 @@ class ShadowState:
         return ShadowState(model, model, ema_rate)
 
 
-def bmuf_apply(state: SyncState, theta_bar: ParamVector) -> SyncState:
+def bmuf_apply(
+    state: SyncState,
+    theta_bar: ParamVector,
+    *,
+    out: Sequence[np.ndarray] | None = None,
+    work: np.ndarray | None = None,
+) -> SyncState:
     """Advance the global model given this block's averaged local model.
 
     Update rule, with ``eta`` the block momentum and ``zeta`` the block
@@ -110,6 +122,10 @@ def bmuf_apply(state: SyncState, theta_bar: ParamVector) -> SyncState:
     ``global'`` is evaluated in the algebraically equal form
     ``(1 - zeta) * global + zeta * theta_bar + eta * delta`` so that with
     ``eta=0, zeta=1`` it reduces to the plain average bit for bit.
+
+    ``out`` is the pair of arrays (global', delta') the new state views; it
+    may be the state's own pair. ``work`` is ``(2, P)`` scratch. Both are
+    fresh when omitted.
     """
     if len(theta_bar) != len(state.global_model):
         raise ValueError(
@@ -119,45 +135,67 @@ def bmuf_apply(state: SyncState, theta_bar: ParamVector) -> SyncState:
     zeta = state.block_learning_rate
     prev = state.global_model.values
     bar = theta_bar.values
-    # each chain accumulates into the array it just made, in the operand
-    # order of the formulas above, so the bits are those of the expressions
-    carried = eta * state.delta.values
-    delta = bar - prev
-    delta *= zeta
-    delta += carried
-    new_global = (1.0 - zeta) * prev
-    new_global += bar * zeta
+    new_global, delta = np.empty((2, len(prev))) if out is None else out
+    carried, step = np.empty((2, len(prev))) if work is None else work
+    # every term of the formulas above in its operand order, so the bits are
+    # those of the expressions; the old delta and global are read before
+    # their slots are written
+    np.multiply(state.delta.values, eta, out=carried)
+    np.subtract(bar, prev, out=step)
+    step *= zeta
+    np.multiply(bar, zeta, out=delta)  # parked in delta's slot until global' is done
+    np.multiply(prev, 1.0 - zeta, out=new_global)
+    new_global += delta
     new_global += carried
+    np.add(step, carried, out=delta)
     return SyncState(
-        ParamVector(frozen(new_global)),
-        ParamVector(frozen(delta)),
+        ParamVector(frozen(new_global.view())),
+        ParamVector(frozen(delta.view())),
         eta,
         zeta,
         state.block_index + 1,
     )
 
 
-def shadow_update(shadow: ShadowState, theta_g: ParamVector) -> ShadowState:
+def shadow_update(
+    shadow: ShadowState,
+    theta_g: ParamVector,
+    *,
+    out: Sequence[np.ndarray] | None = None,
+    work: np.ndarray | None = None,
+) -> ShadowState:
     """Fold one synchronization output into both shadow models.
 
     The running mean gives every observed global model equal weight; the
     exponential model keeps ``ema_rate`` of its previous value. Neither
     result is ever fed back into training.
+
+    ``out`` is the pair of distinct arrays (MA, EMA) the new state views;
+    it may be the state's own pair. ``work`` is ``(2, P)`` scratch. Both are
+    fresh when omitted.
     """
     if len(theta_g) != len(shadow.ma_model):
         raise ValueError(f"length mismatch: {len(theta_g)} vs {len(shadow.ma_model)}")
     t = shadow.sync_count + 1
+    g = theta_g.values
+    ma, ema = np.empty((2, len(g))) if out is None else out
+    tmp = np.empty(len(g)) if work is None else work[0]
     if t == 1:
-        ma = theta_g
+        np.copyto(ma, g)
     else:
-        step = theta_g.values - shadow.ma_model.values
-        step /= t
-        step += shadow.ma_model.values
-        ma = ParamVector(frozen(step))
+        np.subtract(g, shadow.ma_model.values, out=tmp)
+        tmp /= t
+        np.add(tmp, shadow.ma_model.values, out=ma)
     alpha = shadow.ema_rate
-    ema = alpha * shadow.ema_model.values
-    ema += (1.0 - alpha) * theta_g.values
-    return replace(shadow, ma_model=ma, ema_model=ParamVector(frozen(ema)), sync_count=t)
+    np.multiply(g, 1.0 - alpha, out=tmp)
+    np.multiply(shadow.ema_model.values, alpha, out=ema)
+    ema += tmp
+    return replace(
+        shadow,
+        ma_model=ParamVector(frozen(ma.view())),
+        ema_model=ParamVector(frozen(ema.view())),
+        sync_count=t,
+    )
 
 
 def final_models(shadow: ShadowState, sync: SyncState) -> dict[str, ParamVector]:

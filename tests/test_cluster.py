@@ -1,6 +1,7 @@
 import sys
 import threading
 import time
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -16,7 +17,7 @@ from blocktrain.cluster import (
     decentralized_aggregate,
     make_shard_plan,
 )
-from blocktrain.models import Batch, LstmSpec, MlpSpec, init_params
+from blocktrain.models import Batch, LstmSpec, MlpSpec, init_params, param_count
 from blocktrain.numerics import ParamVector, make_rng, mean_reduce, substream
 from blocktrain.optim import sgd_step
 from blocktrain.sync import ShadowState, SyncState
@@ -109,6 +110,30 @@ class TestDecentralizedAggregate:
     def test_plan_length_mismatch(self):
         with pytest.raises(ValueError, match="does not match plan"):
             decentralized_aggregate([pv([1.0, 2.0])], make_shard_plan(3, 1))
+
+    @given(
+        n=st.sampled_from([1, 2, 3, 8]),
+        length=st.integers(min_value=1, max_value=64),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_rows_into_out_match_param_vectors_bitwise(self, n, length, seed):
+        # the cluster's call: the rows of its (N, P) array, averaged into
+        # its own buffer with its own scratch
+        rng = np.random.default_rng(seed)
+        rows = rng.normal(size=(n, length))
+        models = [pv(row) for row in rows]
+        plan = make_shard_plan(length, n)
+        want = mean_reduce(models).values.tobytes()
+        def sharded(vs, **kw):
+            return decentralized_aggregate(vs, plan, **kw)
+
+        for aggregate in (mean_reduce, sharded):
+            out = np.full(length, np.nan)
+            got = aggregate(rows, out=out, work=np.full((2, length), np.nan))
+            assert np.shares_memory(got.values, out)
+            assert got.values.tobytes() == want
+            assert aggregate(models).values.tobytes() == want
 
 
 class TestClusterConfig:
@@ -296,9 +321,9 @@ class TestCluster:
         starts: dict = {}
         train = WorkerState.run_local_block
 
-        def recording(self, spec, params, velocity, config):
+        def recording(self, spec, params, velocity, grad, config):
             starts.setdefault(self.index, []).append(params.tobytes())
-            train(self, spec, params, velocity, config)
+            train(self, spec, params, velocity, grad, config)
 
         monkeypatch.setattr(WorkerState, "run_local_block", recording)
         theta0 = tiny_setup(4, transport)[2].global_model.values.tobytes()
@@ -347,13 +372,13 @@ class TestCluster:
         # replies arrive with the higher-index failure first
         train = WorkerState.run_local_block
 
-        def failing(self, spec, params, velocity, config):
+        def failing(self, spec, params, velocity, grad, config):
             if self.index == 1:
                 time.sleep(0.2)
                 raise FloatingPointError("slow failure")
             if self.index == 2:
                 raise KeyError("fast failure")
-            train(self, spec, params, velocity, config)
+            train(self, spec, params, velocity, grad, config)
 
         monkeypatch.setattr(WorkerState, "run_local_block", failing)
         spec, workers, sync, shadow, config = tiny_setup(4, "decentralized")
@@ -390,6 +415,97 @@ class TestCluster:
         assert str(failure.value) == (
             "block 1, worker 1: parameter vector contains non-finite values"
         )
+
+    @pytest.mark.parametrize("threaded", [True, False], ids=["threaded", "serial"])
+    @pytest.mark.parametrize(
+        "diverged, crashed, named",
+        [(1, 2, "worker 1: parameter vector"), (2, 1, "worker 1: crash")],
+        ids=["divergence-first", "crash-first"],
+    )
+    def test_lowest_failing_worker_named_across_kinds(
+        self, threaded, diverged, crashed, named, monkeypatch
+    ):
+        # one worker diverges and another crashes in block 1; the lower of
+        # the two is named, whichever kind its failure is
+        train = WorkerState.run_local_block
+
+        def failing(self, spec, params, velocity, grad, config):
+            if self.index == crashed:
+                raise RuntimeError("crash")
+            train(self, spec, params, velocity, grad, config)
+            if self.index == diverged:
+                params[0] = np.inf
+
+        monkeypatch.setattr(WorkerState, "run_local_block", failing)
+        spec, workers, sync, shadow, config = tiny_setup(4, "decentralized")
+
+        def body():
+            with Cluster(
+                spec, workers, sync, shadow, config, threaded=threaded
+            ) as cluster:
+                cluster.run_block()
+
+        with pytest.raises(Exception) as failure:
+            bounded(body, timeout=30)
+        assert str(failure.value).startswith(f"block 1, {named}")
+        assert type(failure.value) is (ValueError if diverged < crashed else RuntimeError)
+
+    @pytest.mark.parametrize("threaded", [True, False], ids=["threaded", "serial"])
+    @pytest.mark.parametrize("transport", ["centralized", "decentralized"])
+    # the coordinator silences numpy's overflow warning, which would
+    # otherwise become the error here
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_aggregate_overflow_names_the_block(self, threaded, transport, monkeypatch):
+        # two finite local models whose centered mean overflows: no worker
+        # diverged, so the failure is the coordinator's
+        def extreme(self, spec, params, velocity, grad, config):
+            params[...] = 1.7e308 if self.index else -1.7e308
+
+        monkeypatch.setattr(WorkerState, "run_local_block", extreme)
+        spec, workers, sync, shadow, config = tiny_setup(2, transport)
+
+        def body():
+            with Cluster(
+                spec, workers, sync, shadow, config, threaded=threaded
+            ) as cluster:
+                cluster.run_block()
+
+        with pytest.raises(ValueError) as failure:
+            bounded(body, timeout=30)
+        assert str(failure.value) == "block 1: parameter vector contains non-finite values"
+
+    @pytest.mark.parametrize("transport", ["centralized", "decentralized"])
+    def test_warm_block_allocates_no_parameter_sized_array(self, transport):
+        # gradients, averages, filter and shadow updates all go into arrays
+        # the cluster owns, so a warmed-up block allocates far less than one
+        # parameter vector
+        spec = MlpSpec((36, 256, 256, 8))
+        rng = make_rng(41)
+        theta0 = init_params(spec, rng)
+        workers = [
+            WorkerState(
+                i,
+                tuple(
+                    Batch(rng.normal(size=(10, 36)), rng.integers(8, size=10))
+                    for _ in range(3)
+                ),
+                substream(41, 5, i),
+            )
+            for i in range(8)
+        ]
+        sync = SyncState.initial(theta0, 0.9, 1.0)
+        shadow = ShadowState.initial(theta0, 0.92)
+        config = ClusterConfig(0.12, 0.5, 1, transport)
+        with Cluster(spec, workers, sync, shadow, config, threaded=False) as cluster:
+            for _ in range(2):  # the second block takes the shadows past t == 1
+                cluster.run_block()
+            tracemalloc.start()
+            try:
+                cluster.run_block()
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+        assert peak < param_count(spec) * 8
 
     @pytest.mark.parametrize("threaded", [True, False])
     def test_coordinator_exception_names_block(self, threaded):

@@ -16,6 +16,9 @@ from blocktrain.experiment import (
     write_run_artifacts,
 )
 from blocktrain.metrics import shadow_verdicts
+from blocktrain.models import init_params
+from blocktrain.numerics import substream
+from blocktrain.sync import ShadowState, shadow_update
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -149,6 +152,26 @@ class TestRunExperiment:
     def test_trajectory_recording(self):
         result = run_experiment(TINY, threaded=False, record_trajectory=True)
         assert len(result.trajectory) == TINY.epochs * result.blocks_per_epoch
+
+    def test_checkpoints_keep_their_own_bytes(self):
+        # the cluster overwrites its live sync and shadow state every block;
+        # each kept model must be the one of its own block
+        result = run_experiment(TINY, threaded=False, record_trajectory=True)
+        theta0 = init_params(TINY.model_spec(), substream(TINY.seed, experiment.TAG_INIT))
+        shadow = ShadowState.initial(theta0, TINY.ema_rate)
+        shadows = []
+        for global_model in result.trajectory:
+            shadow = shadow_update(shadow, global_model)
+            shadows.append(shadow)
+        assert len(result.checkpoints) == TINY.epochs * 4 * 3
+        for cp in result.checkpoints:
+            replay = shadows[cp.block_index - 1]
+            want = {
+                "bmuf": result.trajectory[cp.block_index - 1],
+                "ma": replay.ma_model,
+                "ema": replay.ema_model,
+            }[cp.strategy]
+            assert cp.params.values.tobytes() == want.values.tobytes()
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_training_failure_keeps_original_error_as_cause(self):
@@ -312,7 +335,9 @@ class TestCliRun:
         assert "error" in capsys.readouterr().err
 
     @pytest.mark.parametrize("flags", [[], ["--single-thread"]], ids=["threaded", "serial"])
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    # a numpy warning on any thread would become that thread's error and
+    # change the line; outside pytest it would print before the line
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_diverging_run_ends_in_one_error_line(self, tmp_path, capsys, flags):
         cfg_path = tmp_path / "exp.cfg"
         DIVERGING.to_file(cfg_path)
@@ -320,7 +345,7 @@ class TestCliRun:
         code = main(["run", "--config", str(cfg_path), "--out", str(out), *flags])
         captured = capsys.readouterr()
         assert code == 3
-        assert captured.err.splitlines()[-1] == f"error: {DIVERGED}"
+        assert captured.err == f"error: {DIVERGED}\n"
         assert "Traceback" not in captured.err
         assert captured.out == ""
         assert not out.exists()

@@ -238,6 +238,45 @@ class TestBackward:
         )
         np.testing.assert_allclose(g2, g1, rtol=1e-10, atol=1e-13)
 
+    @given(
+        kind=st.sampled_from(["mlp", "lstm"]),
+        seed=st.integers(0, 2**31 - 1),
+        zero_rows=st.integers(0, 4),
+        scale=st.sampled_from([1.0, 60.0]),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_out_gradient_bitwise_equals_fresh(self, kind, seed, zero_rows, scale):
+        """``backward(..., out=)`` writes every element of ``out``, pre-filled
+        with NaN, with the bits of the allocating call. Zero input rows and
+        weights that saturate the sigmoids make products of zero, where a
+        BLAS kernel may return -0.0; the gradient never holds -0.0, just as
+        when it was summed into zeros."""
+        rng = make_rng(seed)
+        if kind == "mlp":
+            spec, lengths = MlpSpec((4, 6, 5, 3)), ()
+        else:  # mixed lengths: three length groups
+            spec, lengths = LstmSpec(4, 3, 2, 3), (3, 1, 3, 2)
+        params = ParamVector(scale * init_params(spec, rng).values)
+        frames = sum(lengths) or 7
+        inputs = rng.normal(size=(frames, 4))
+        inputs[:zero_rows] = 0.0
+        batch = Batch(inputs, rng.integers(3, size=frames), lengths)
+        loss, fresh = backward(spec, params, batch)
+        out = np.full(len(params), np.nan)
+        out_loss, got = backward(spec, params, batch, out=out)
+        assert got is out
+        assert out_loss == loss
+        assert out.tobytes() == fresh.tobytes()
+        assert not np.signbit(out[out == 0.0]).any()
+
+    def test_out_must_be_a_contiguous_gradient_vector(self):
+        spec = MlpSpec((3, 2))
+        params = init_params(spec, make_rng(2))
+        batch = random_batch(make_rng(3), 4, 3, 2)
+        for out in (np.zeros(len(params) + 1), np.zeros(2 * len(params))[::2]):
+            with pytest.raises(ValueError, match="C-contiguous"):
+                backward(spec, params, batch, out=out)
+
     @given(kind=st.sampled_from(["mlp", "lstm"]), seed=st.integers(0, 2**31 - 1))
     @settings(max_examples=20, deadline=None)
     def test_gradient_check_random_small_models(self, kind, seed):

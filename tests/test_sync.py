@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from blocktrain.numerics import ParamVector, make_rng, mean_reduce
+from blocktrain.numerics import ParamVector, frozen, make_rng, mean_reduce
 from blocktrain.sync import (
     Checkpoint,
     ShadowState,
@@ -18,6 +18,11 @@ from .oracles import bmuf_reference
 
 def pv(values):
     return ParamVector(np.asarray(values, dtype=float))
+
+
+def view(arr):
+    """A ParamVector viewing ``arr``, which its owner may still overwrite."""
+    return ParamVector(frozen(arr.view()))
 
 
 def fresh_state(theta0, eta, zeta):
@@ -114,6 +119,28 @@ class TestBmuf:
         assert not after.global_model.values.flags.writeable
         assert not after.delta.values.flags.writeable
         assert after.block_index == 6
+
+    @given(
+        length=st.integers(min_value=1, max_value=64),
+        seed=st.integers(0, 2**32 - 1),
+        eta=st.floats(min_value=0.0, max_value=0.99),
+        zeta=st.one_of(st.just(1.0), st.floats(min_value=0.1, max_value=2.0)),
+    )
+    @settings(max_examples=80, deadline=None)
+    def test_in_place_update_bitwise_equals_allocating(self, length, seed, eta, zeta):
+        """With ``out`` the state's own arrays, the update overwrites them
+        with the bits the allocating call returns."""
+        rng = np.random.default_rng(seed)
+        prev, d, tb = (rng.normal(size=length) for _ in range(3))
+        want = bmuf_apply(SyncState(pv(prev), pv(d), eta, zeta, 5), pv(tb))
+        own = np.stack([prev, d])
+        state = SyncState(view(own[0]), view(own[1]), eta, zeta, 5)
+        got = bmuf_apply(state, pv(tb), out=own, work=np.full((2, length), np.nan))
+        assert np.shares_memory(got.global_model.values, own[0])
+        assert np.shares_memory(got.delta.values, own[1])
+        assert got.global_model.values.tobytes() == want.global_model.values.tobytes()
+        assert got.delta.values.tobytes() == want.delta.values.tobytes()
+        assert got.block_index == 6
 
     def test_geometric_decay_with_echoed_broadcast(self):
         """With zeta=1 a displaced first block sets the accumulator; workers
@@ -232,6 +259,29 @@ class TestShadow:
         assert not after.ma_model.values.flags.writeable
         assert not after.ema_model.values.flags.writeable
         assert after.sync_count == t
+
+    @given(
+        length=st.integers(min_value=1, max_value=64),
+        seed=st.integers(0, 2**32 - 1),
+        alpha=st.floats(min_value=0.0, max_value=1.0),
+        count=st.sampled_from([0, 1, 7, 10_000]),
+    )
+    @settings(max_examples=80, deadline=None)
+    def test_in_place_update_bitwise_equals_allocating(self, length, seed, alpha, count):
+        """With ``out`` the state's own arrays, the first update (t == 1)
+        and later ones overwrite them with the bits the allocating call
+        returns."""
+        rng = np.random.default_rng(seed)
+        ma, ema, theta = (rng.normal(size=length) for _ in range(3))
+        want = shadow_update(ShadowState(pv(ma), pv(ema), alpha, count), pv(theta))
+        own = np.stack([ma, ema])
+        shadow = ShadowState(view(own[0]), view(own[1]), alpha, count)
+        got = shadow_update(shadow, pv(theta), out=own, work=np.full((2, length), np.nan))
+        assert np.shares_memory(got.ma_model.values, own[0])
+        assert np.shares_memory(got.ema_model.values, own[1])
+        assert got.ma_model.values.tobytes() == want.ma_model.values.tobytes()
+        assert got.ema_model.values.tobytes() == want.ema_model.values.tobytes()
+        assert got.sync_count == count + 1
 
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError, match="length mismatch"):
