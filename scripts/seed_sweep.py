@@ -116,9 +116,9 @@ def main(argv=None):
     args = parser.parse_args(argv)
     try:
         configs = load_configs(args.models.split(","), parse_overrides(args.set))
+        run_study(configs, list(range(args.seeds)))
     except ConfigError as exc:
         parser.exit(2, f"error: {exc}\n")
-    run_study(configs, list(range(args.seeds)))
 
 
 if __name__ == "__main__":

@@ -54,7 +54,6 @@ from .sync import (
     Checkpoint,
     ShadowState,
     SyncState,
-    final_models,
     load_checkpoint,
     save_checkpoint,
     shadow_update,

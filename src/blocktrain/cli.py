@@ -34,7 +34,7 @@ def _build_parser() -> argparse.ArgumentParser:
     run_p.add_argument(
         "--single-thread",
         action="store_true",
-        help="drive workers sequentially instead of with threads (same results)",
+        help="train workers in order on this thread, not on slab threads (same results)",
     )
     cmp_p = sub.add_parser("compare", help="summarize finished runs against bmuf")
     cmp_p.add_argument("run_dirs", nargs="+", help="run directories holding final.csv")

@@ -9,11 +9,14 @@ may start. Every average goes through one centered-mean kernel
 (:func:`~blocktrain.numerics.centered_mean`) that sums in ascending worker
 order, so all modes and transports produce bit-identical results. The
 cluster owns every array a block writes, so a warmed-up block allocates no
-parameter-sized array.
+parameter-sized array. Workers train in slabs, contiguous ranges of worker
+indices trained in order by one thread: one slab inline when serial, at most
+one per core when threaded.
 """
 
 from __future__ import annotations
 
+import os
 import queue
 import threading
 from dataclasses import dataclass, field
@@ -131,6 +134,13 @@ def decentralized_aggregate(
     return ParamVector(frozen(out.view()))
 
 
+def _cores() -> int:
+    """The cores this process may run on: threaded mode's most slabs."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
 @dataclass
 class WorkerState:
     """One worker's shard stream; its parameters and velocity are rows
@@ -181,15 +191,17 @@ class Cluster:
     The cluster owns every array a block writes. Worker state is two
     ``(N, P)`` arrays, ``params`` (every row starts as the initial global
     model) and ``velocity`` (zeros); ``workers[i]`` must have index ``i``
-    and trains in place on row ``i`` of each, with one gradient row of
-    ``grads`` per training thread. With ``threaded=False`` the workers train
-    in ascending order on the calling thread and share one gradient row;
-    with ``threaded=True`` each is a daemon thread that takes block numbers
-    from its inbox queue and posts back only the error it raised, if any. The
-    coordinator then averages the rows of ``params`` (``_synchronize``; the
-    transport is the one choice there) into its own buffer, filters, updates
-    the shadows and assigns the new global model to every row of ``params``
-    while the workers wait at the barrier, so both modes and both transports
+    and trains in place on row ``i`` of each. The workers are split into
+    slabs, contiguous index ranges (``slabs``, a :class:`ShardPlan` over
+    worker indices): one with ``threaded=False``, trained on the calling
+    thread, else ``min(N, cores)``, each a daemon thread that takes block
+    numbers from its inbox queue. A slab trains its workers in index order
+    with one gradient row of ``grads``, stops at its first failure and
+    reports only that worker and its error. The coordinator then averages
+    the rows of ``params`` (``_synchronize``; the transport is the one
+    choice there) into its own buffer, filters, updates the shadows and
+    assigns the new global model to every row of ``params`` while the
+    workers wait at the barrier, so every slab count and both transports
     produce bitwise-identical trajectories. The filter and shadows write
     into the cluster's own pairs of arrays, so the returned ``sync_state``
     and ``shadow_state`` are views that the next block overwrites: copy what
@@ -200,10 +212,11 @@ class Cluster:
     anywhere in the block fails it. Only then are the rows scanned, to name
     the lowest diverged worker. A failure is raised from ``run_block`` with
     the block named, and the worker too when local training failed or
-    diverged (the lowest index of either kind, in both modes); numpy's
-    overflow warnings are silenced on every thread that trains or syncs,
-    since the check reports the divergence. The cluster is then only fit to
-    be closed.
+    diverged: the lowest index of either kind, since a slab's first failure
+    is its lowest and every row below the lowest failing worker trained.
+    numpy's overflow warnings are silenced on every thread that trains or
+    syncs, since the check reports the divergence. The cluster is then only
+    fit to be closed.
     """
 
     def __init__(
@@ -225,12 +238,13 @@ class Cluster:
         self.shadow_state = shadow_state
         self.config = config
         self.threaded = threaded
+        n = len(self.workers)
         length = len(sync_state.global_model)
-        self.plan = make_shard_plan(length, len(self.workers))
-        self.params = np.tile(sync_state.global_model.values, (len(self.workers), 1))
+        self.plan = make_shard_plan(length, n)
+        self.slabs = make_shard_plan(n, min(n, _cores()) if threaded else 1)
+        self.params = np.tile(sync_state.global_model.values, (n, 1))
         self.velocity = np.zeros_like(self.params)
-        on_threads = self.workers if threaded else []
-        self.grads = np.empty((len(on_threads) or 1, length))
+        self.grads = np.empty((self.slabs.num_shards, length))
         # the coordinator's arrays: the average, the filter's (global, delta),
         # the shadows' (MA, EMA) and scratch
         self._mean = np.empty(length)
@@ -238,56 +252,51 @@ class Cluster:
         self._shadow_out = np.empty((2, length))
         self._work = np.empty((2, length))
         self._results: queue.Queue = queue.Queue()
-        self._inboxes = [queue.Queue() for _ in on_threads]
+        self._inboxes = [queue.Queue() for _ in self.grads] if threaded else []
         self._threads = [
-            threading.Thread(target=self._worker_loop, args=(w,), daemon=True)
-            for w in on_threads
+            threading.Thread(target=self._slab_loop, args=(s,), daemon=True)
+            for s in range(len(self._inboxes))
         ]
         for t in self._threads:
             t.start()
 
     # -- worker side ---------------------------------------------------
 
-    def _train(self, w: WorkerState, grad: np.ndarray) -> BaseException | None:
-        """One local block on ``w``; the error it raised, if any."""
-        try:
-            with np.errstate(over="ignore", invalid="ignore"):
-                w.run_local_block(
-                    self.spec,
-                    self.params[w.index],
-                    self.velocity[w.index],
-                    grad,
-                    self.config,
-                )
-        except BaseException as exc:  # handed to the coordinator, which raises it
-            return exc
-        return None
+    def _train_slab(self, s: int) -> tuple[int | None, BaseException | None]:
+        """One local block on slab ``s``'s workers in index order:
+        ``(None, None)``, or the first failing worker and its error."""
+        lo, hi = self.slabs.range_of(s)
+        grad = self.grads[s]
+        with np.errstate(over="ignore", invalid="ignore"):
+            for i in range(lo, hi):
+                try:
+                    self.workers[i].run_local_block(
+                        self.spec, self.params[i], self.velocity[i], grad, self.config
+                    )
+                except BaseException as exc:  # handed to the coordinator, which raises it
+                    return i, exc
+        return None, None
 
-    def _worker_loop(self, w: WorkerState) -> None:
-        inbox = self._inboxes[w.index]
-        grad = self.grads[w.index]
+    def _slab_loop(self, s: int) -> None:
+        inbox = self._inboxes[s]
         while inbox.get() is not None:
-            self._results.put((w.index, self._train(w, grad)))
+            self._results.put(self._train_slab(s))
 
     # -- coordinator side ----------------------------------------------
 
     def _train_workers(
         self, block_index: int
     ) -> tuple[int | None, BaseException | None]:
-        """One local block on every worker: ``(None, None)``, or the lowest
-        failing worker and its error. Serial mode stops at the first
-        failure; threaded mode waits for every reply."""
+        """One local block on every slab: ``(None, None)``, or the lowest
+        failing worker and its error."""
         if self.threaded:
             for inbox in self._inboxes:
                 inbox.put(block_index)
-            replies = [self._results.get() for _ in self.workers]
-            failures = [reply for reply in replies if reply[1] is not None]
-            return min(failures, key=lambda reply: reply[0], default=(None, None))
-        for w in self.workers:
-            exc = self._train(w, self.grads[0])
-            if exc is not None:
-                return w.index, exc
-        return None, None
+            replies = [self._results.get() for _ in self._inboxes]
+        else:
+            replies = [self._train_slab(0)]
+        failures = [reply for reply in replies if reply[1] is not None]
+        return min(failures, key=lambda reply: reply[0], default=(None, None))
 
     def _synchronize(self) -> None:
         """Average the rows of ``params``, filter, update the shadows, all

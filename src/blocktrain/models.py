@@ -298,18 +298,17 @@ def forward_workspace(spec: ModelSpec, rows: int) -> list[np.ndarray] | None:
 
 
 def _mlp_forward(
-    spec: MlpSpec,
-    values: np.ndarray,
+    layers: list[tuple[np.ndarray, np.ndarray]],
     batch: Batch,
     out: list[np.ndarray] | None = None,
 ) -> tuple[np.ndarray, list[np.ndarray]]:
-    """Logits plus every layer's input activations.
+    """Logits plus every layer's input activations, for the weight views
+    ``layers`` (:func:`_mlp_views`).
 
     Layer ``l`` writes its output into ``out[l]`` when given (see
     :func:`forward_workspace`), else into a fresh array; the matmul is the
     same BLAS call either way, so the bits are too.
     """
-    layers = _mlp_views(spec, values)
     acts = [batch.inputs]
     for idx, (w, b) in enumerate(layers):
         z = np.matmul(acts[-1], w, out=None if out is None else out[idx])
@@ -319,9 +318,8 @@ def _mlp_forward(
 
 
 def _mlp_backprop(
-    spec: MlpSpec, values: np.ndarray, acts: list, delta: np.ndarray, gvec: np.ndarray
+    spec: MlpSpec, layers: list, acts: list, delta: np.ndarray, gvec: np.ndarray
 ) -> None:
-    layers = _mlp_views(spec, values)
     gviews = _mlp_views(spec, gvec)
     for idx in range(len(layers) - 1, -1, -1):
         w, _ = layers[idx]
@@ -408,11 +406,12 @@ def _lstm_layer_backward(
 
 
 def _lstm_forward(
-    spec: LstmSpec, values: np.ndarray, batch: Batch, keep_cache: bool
+    spec: LstmSpec, views: tuple, batch: Batch, keep_cache: bool
 ) -> tuple[np.ndarray, list[tuple]]:
-    """Logits in frame order plus, with ``keep_cache``, one entry per length
+    """Logits in frame order for the weight views ``views``
+    (:func:`_lstm_views`) plus, with ``keep_cache``, one entry per length
     group: its sequence spans, top hidden states and per-layer BPTT caches."""
-    layers, w_out, b_out = _lstm_views(spec, values)
+    layers, w_out, b_out = views
     logits = np.empty((batch.num_frames, spec.output_dim))
     groups = []
     for steps, spans in _length_groups(batch.seq_lengths).items():
@@ -431,9 +430,9 @@ def _lstm_forward(
 
 
 def _lstm_backprop(
-    spec: LstmSpec, values: np.ndarray, groups: list, delta: np.ndarray, gvec: np.ndarray
+    spec: LstmSpec, views: tuple, groups: list, delta: np.ndarray, gvec: np.ndarray
 ) -> None:
-    layers, w_out, _ = _lstm_views(spec, values)
+    layers, w_out, _ = views
     gvec.fill(0.0)
     gl, gw_out, gb_out = _lstm_views(spec, gvec)
     for spans, h_top, caches in groups:
@@ -464,11 +463,14 @@ def _forward(
     when given."""
     _check_call(spec, params, batch)
     values = params.values if isinstance(params, ParamVector) else params
+    # the backprop reuses the forward's weight views
     if isinstance(spec, MlpSpec):
-        logits, acts = _mlp_forward(spec, values, batch, workspace)
-        return logits, partial(_mlp_backprop, spec, values, acts)
-    logits, groups = _lstm_forward(spec, values, batch, keep_cache)
-    return logits, partial(_lstm_backprop, spec, values, groups)
+        layers = _mlp_views(spec, values)
+        logits, acts = _mlp_forward(layers, batch, workspace)
+        return logits, partial(_mlp_backprop, spec, layers, acts)
+    views = _lstm_views(spec, values)
+    logits, groups = _lstm_forward(spec, views, batch, keep_cache)
+    return logits, partial(_lstm_backprop, spec, views, groups)
 
 
 def forward_loss(spec: ModelSpec, params: ParamVector, batch: Batch) -> float:

@@ -32,7 +32,6 @@ __all__ = [
     "STRATEGIES",
     "bmuf_apply",
     "shadow_update",
-    "final_models",
     "save_checkpoint",
     "load_checkpoint",
 ]
@@ -196,17 +195,6 @@ def shadow_update(
         ema_model=ParamVector(frozen(ema.view())),
         sync_count=t,
     )
-
-
-def final_models(shadow: ShadowState, sync: SyncState) -> dict[str, ParamVector]:
-    """The three candidate final models, keyed ``bmuf`` / ``ma`` / ``ema``."""
-    if sync.block_index < 1 or shadow.sync_count < 1:
-        raise RuntimeError("no synchronization has happened yet")
-    return {
-        "bmuf": sync.global_model,
-        "ma": shadow.ma_model,
-        "ema": shadow.ema_model,
-    }
 
 
 # ---------------------------------------------------------------------------

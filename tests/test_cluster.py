@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import blocktrain.cluster
 from blocktrain.cluster import (
     Cluster,
     ClusterConfig,
@@ -174,6 +175,17 @@ def tiny_setup(
     return spec, workers, sync, shadow, config
 
 
+def pin_cores(monkeypatch, cores):
+    """Make the cluster see ``cores`` cores, so threaded mode starts
+    ``min(N, cores)`` slab threads on any host."""
+    monkeypatch.setattr(blocktrain.cluster, "_cores", lambda: cores)
+
+
+@pytest.fixture(autouse=True)
+def two_cores(monkeypatch):
+    pin_cores(monkeypatch, 2)
+
+
 def run_blocks(threaded, transport, blocks=4, n_workers=3, **kw):
     spec, workers, sync, shadow, config = tiny_setup(n_workers, transport, **kw)
     trajectory = []
@@ -186,18 +198,60 @@ def run_blocks(threaded, transport, blocks=4, n_workers=3, **kw):
     return trajectory, worker_models, final_global
 
 
+# four workers trained by two slab threads (workers 0-1 and 2-3), by one slab
+# thread, and serially
+SLAB_MODES = pytest.mark.parametrize(
+    "cores", [2, 1, None], ids=["threaded", "one-slab", "serial"]
+)
+
+
+def slab_mode(monkeypatch, cores):
+    """Pin a ``SLAB_MODES`` core count; ``threaded`` for the cluster."""
+    if cores is not None:
+        pin_cores(monkeypatch, cores)
+    return cores is not None
+
+
 class TestCluster:
     def test_broadcast_postcondition(self):
         for threaded in (False, True):
             _, worker_models, final_global = run_blocks(threaded, "centralized")
             assert all(m == final_global for m in worker_models)
 
-    def test_threaded_matches_serial_bitwise(self):
+    def test_threaded_matches_serial_bitwise(self, monkeypatch):
+        # one slab, uneven slabs and one worker per slab train the same bits
         for spec in (MLP, LSTM):
             for transport in ("centralized", "decentralized"):
-                serial, _, _ = run_blocks(False, transport, spec=spec)
-                threaded, _, _ = run_blocks(True, transport, spec=spec)
-                assert serial == threaded
+                serial = run_blocks(False, transport, spec=spec, n_workers=5)
+                for cores in (1, 2, 3, 5):
+                    pin_cores(monkeypatch, cores)
+                    threaded = run_blocks(True, transport, spec=spec, n_workers=5)
+                    assert threaded == serial, (cores, transport)
+
+    @pytest.mark.parametrize("cores", [1, 2, 3, 5, 8])
+    def test_one_thread_per_slab_at_most_one_per_core(self, cores, monkeypatch):
+        # each slab trains its workers with its own gradient row
+        grads = {}
+        train = WorkerState.run_local_block
+
+        def recording(self, spec, params, velocity, grad, config):
+            grads[self.index] = grad
+            train(self, spec, params, velocity, grad, config)
+
+        monkeypatch.setattr(WorkerState, "run_local_block", recording)
+        pin_cores(monkeypatch, cores)
+        spec, workers, sync, shadow, config = tiny_setup(5, "centralized")
+        with Cluster(spec, workers, sync, shadow, config, threaded=True) as cluster:
+            assert len(cluster._threads) == min(5, cores)
+            assert cluster.slabs == make_shard_plan(5, min(5, cores))
+            assert cluster.grads.shape == (min(5, cores), cluster.params.shape[1])
+            cluster.run_block()
+            for s, row in enumerate(cluster.grads):
+                for i in range(*cluster.slabs.range_of(s)):
+                    assert np.shares_memory(grads[i], row)
+        with Cluster(spec, workers, sync, shadow, config, threaded=False) as cluster:
+            assert cluster._threads == []
+            assert cluster.slabs.bounds == (0, 5)
 
     def test_transports_match_bitwise(self):
         for spec in (MLP, LSTM):
@@ -210,10 +264,11 @@ class TestCluster:
         b = run_blocks(True, "decentralized")
         assert a == b
 
-    def test_broadcast_reaches_threads_under_fast_switching(self):
-        # the coordinator writes each worker's model between blocks and the
-        # worker thread reads it in the next one; a worker that trained on a
+    def test_broadcast_reaches_threads_under_fast_switching(self, monkeypatch):
+        # the coordinator writes each worker's model between blocks and a
+        # slab thread reads it in the next one; a worker that trained on a
         # stale model would change the trajectory
+        pin_cores(monkeypatch, 3)
         serial = run_blocks(False, "decentralized", blocks=6, n_workers=6)
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
@@ -297,8 +352,8 @@ class TestCluster:
         "indices", [(0, 0), (1, 0), (0, 2)], ids=["duplicate", "swapped", "gap"]
     )
     def test_misnumbered_workers_rejected(self, threaded, indices):
-        # rows and inboxes are indexed by worker index: two workers on one
-        # inbox would hang the threaded cluster
+        # rows and slabs are indexed by worker index: a misnumbered worker
+        # would train on another worker's rows
         spec, workers, sync, shadow, config = tiny_setup(2, "centralized")
         workers = [replace(w, index=i) for w, i in zip(workers, indices)]
         position = next(p for p, i in enumerate(indices) if i != p)
@@ -318,6 +373,7 @@ class TestCluster:
     def test_barrier_no_worker_starts_next_block_early(self, transport, monkeypatch):
         # every worker must start block b from the global model after block
         # b - 1; one that started early would still hold its own local model
+        pin_cores(monkeypatch, 4)
         starts: dict = {}
         train = WorkerState.run_local_block
 
@@ -366,10 +422,11 @@ class TestCluster:
         assert "block 1" in str(failure.value)
         assert "worker 1" in str(failure.value)
 
-    @pytest.mark.parametrize("threaded", [True, False], ids=["threaded", "serial"])
-    def test_lowest_failing_worker_named(self, threaded, monkeypatch):
-        # workers 1 and 2 fail in block 1; worker 1 fails last, so threaded
-        # replies arrive with the higher-index failure first
+    @SLAB_MODES
+    def test_lowest_failing_worker_named(self, cores, monkeypatch):
+        # workers 1 and 2 fail in block 1; worker 1 fails last, so with two
+        # slabs the replies arrive with the higher-index failure first
+        threaded = slab_mode(monkeypatch, cores)
         train = WorkerState.run_local_block
 
         def failing(self, spec, params, velocity, grad, config):
@@ -393,10 +450,11 @@ class TestCluster:
             bounded(body, timeout=30)
         assert str(failure.value) == "block 1, worker 1: slow failure"
 
-    @pytest.mark.parametrize("threaded", [True, False], ids=["threaded", "serial"])
+    @SLAB_MODES
     @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
     @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
-    def test_two_diverged_workers_name_the_lower(self, threaded):
+    def test_two_diverged_workers_name_the_lower(self, cores, monkeypatch):
+        threaded = slab_mode(monkeypatch, cores)
         bad, velocity, _ = DIVERGE
         spec, workers, sync, shadow, config = tiny_setup(4, "centralized")
         config = replace(config, momentum=0.9)
@@ -416,17 +474,18 @@ class TestCluster:
             "block 1, worker 1: parameter vector contains non-finite values"
         )
 
-    @pytest.mark.parametrize("threaded", [True, False], ids=["threaded", "serial"])
+    @SLAB_MODES
     @pytest.mark.parametrize(
         "diverged, crashed, named",
         [(1, 2, "worker 1: parameter vector"), (2, 1, "worker 1: crash")],
         ids=["divergence-first", "crash-first"],
     )
     def test_lowest_failing_worker_named_across_kinds(
-        self, threaded, diverged, crashed, named, monkeypatch
+        self, cores, diverged, crashed, named, monkeypatch
     ):
         # one worker diverges and another crashes in block 1; the lower of
         # the two is named, whichever kind its failure is
+        threaded = slab_mode(monkeypatch, cores)
         train = WorkerState.run_local_block
 
         def failing(self, spec, params, velocity, grad, config):

@@ -134,15 +134,16 @@ class TestRunExperiment:
         assert epochs == [0.25, 0.5, 0.75, 1.0]
 
     def test_final_models_match_last_checkpoint(self):
-        from blocktrain.sync import final_models
-
         result = run_experiment(TINY, threaded=False)
-        finals = final_models(result.shadow_state, result.sync_state)
-        last = {cp.strategy: cp.params for cp in result.checkpoints[-3:]}
-        for strategy in ("bmuf", "ma", "ema"):
-            assert (
-                finals[strategy].values.tobytes() == last[strategy].values.tobytes()
-            )
+        finals = (
+            result.sync_state.global_model,
+            result.shadow_state.ma_model,
+            result.shadow_state.ema_model,
+        )
+        last = result.checkpoints[-3:]
+        assert [cp.strategy for cp in last] == ["bmuf", "ma", "ema"]
+        for cp, final in zip(last, finals):
+            assert cp.params.values.tobytes() == final.values.tobytes()
 
     def test_shadows_disabled_only_bmuf(self):
         result = run_experiment(TINY, threaded=False, shadows_enabled=False)
@@ -475,6 +476,17 @@ class TestSeedSweepOverrides:
         err = capsys.readouterr().err
         assert err.startswith("error: ")
         assert "'gpt'" in err
+
+    def test_config_error_from_run_names_key_and_exits_2(self, capsys):
+        # valid on its own; only the run finds more workers than utterances
+        with pytest.raises(SystemExit) as stop:
+            load_seed_sweep().main(
+                ["--seeds", "1", "--models", "mlp", "--set", "num_workers=2000"]
+            )
+        assert stop.value.code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ")
+        assert "'num_workers'" in err
 
 
 class TestSeedSweepFailures:

@@ -8,7 +8,6 @@ from blocktrain.sync import (
     ShadowState,
     SyncState,
     bmuf_apply,
-    final_models,
     load_checkpoint,
     save_checkpoint,
     shadow_update,
@@ -301,14 +300,9 @@ class TestFinalModels:
         locals_ = [pv(rng.normal(size=4)) for _ in range(3)]
         sync = bmuf_apply(sync, mean_reduce(locals_))
         shadow = shadow_update(shadow, sync.global_model)
-        finals = final_models(shadow, sync)
-        assert finals["bmuf"].values.tobytes() == finals["ma"].values.tobytes()
-        assert finals["bmuf"].values.tobytes() == finals["ema"].values.tobytes()
-
-    def test_error_before_any_sync(self):
-        theta0 = pv([1.0])
-        with pytest.raises(RuntimeError, match="no synchronization"):
-            final_models(ShadowState.initial(theta0, 0.5), SyncState.initial(theta0, 0.5, 1.0))
+        bmuf = sync.global_model.values.tobytes()
+        assert bmuf == shadow.ma_model.values.tobytes()
+        assert bmuf == shadow.ema_model.values.tobytes()
 
 
 class TestCheckpointIo:
