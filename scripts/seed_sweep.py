@@ -23,7 +23,7 @@ Usage: python scripts/seed_sweep.py [--seeds N] [--models mlp,lstm]
 ``--set`` values are parsed as config files parse them; an unknown key, an
 unparsable value or an invalid config exits with status 2 naming the key, and
 a model without a ``configs/default_<model>.cfg`` exits with status 2 naming
-the model.
+the model; ``--seeds`` below 1 exits with status 2 naming ``--seeds``.
 """
 
 from __future__ import annotations
@@ -114,6 +114,8 @@ def main(argv=None):
         help="override a config field (repeatable)",
     )
     args = parser.parse_args(argv)
+    if args.seeds < 1:
+        parser.error(f"--seeds must be at least 1, got {args.seeds}")
     try:
         configs = load_configs(args.models.split(","), parse_overrides(args.set))
         run_study(configs, list(range(args.seeds)))

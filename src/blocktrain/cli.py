@@ -34,15 +34,24 @@ def _build_parser() -> argparse.ArgumentParser:
     run_p.add_argument(
         "--single-thread",
         action="store_true",
-        help="train workers in order on this thread, not on slab threads (same results)",
+        help="train every worker in order on this thread, with no helper threads "
+        "(same results)",
     )
     cmp_p = sub.add_parser("compare", help="summarize finished runs against bmuf")
     cmp_p.add_argument("run_dirs", nargs="+", help="run directories holding final.csv")
     return parser
 
 
+def _read_text(path: str | Path) -> str:
+    """The text of ``path``; an OSError naming the file if it does not decode."""
+    try:
+        return Path(path).read_text()
+    except UnicodeDecodeError as exc:
+        raise OSError(f"{path}: {exc}") from None
+
+
 def _cmd_run(args: argparse.Namespace) -> int:
-    config = ExperimentConfig.from_file(args.config)
+    config = ExperimentConfig.from_text(_read_text(args.config))
     if args.seed is not None:
         config = config.with_seed(args.seed)
     result = run_experiment(config, threaded=not args.single_thread)
@@ -55,26 +64,25 @@ def _cmd_run(args: argparse.Namespace) -> int:
 
 def _read_final(run_dir: Path) -> dict[str, float]:
     path = run_dir / "final.csv"
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header != FINAL_HEADER.split(","):
-            raise OSError(f"{path}: unexpected header {header}")
-        fers = {}
-        for row in filter(None, reader):
-            try:
-                strategy, raw = row
-                fer = float(raw)
-            except ValueError:
-                raise OSError(f"{path}: malformed row {row}") from None
-            if strategy not in STRATEGIES:
-                raise OSError(f"{path}: malformed row {row}: unknown strategy")
-            if not 0.0 <= fer <= 1.0:  # nan fails this too
-                raise OSError(f"{path}: malformed row {row}: FER not in [0, 1]")
-            if strategy in fers:
-                raise OSError(f"{path}: malformed row {row}: duplicate strategy")
-            fers[strategy] = fer
-        return fers
+    reader = csv.reader(_read_text(path).splitlines())
+    header = next(reader, None)
+    if header != FINAL_HEADER.split(","):
+        raise OSError(f"{path}: unexpected header {header}")
+    fers = {}
+    for row in filter(None, reader):
+        try:
+            strategy, raw = row
+            fer = float(raw)
+        except ValueError:
+            raise OSError(f"{path}: malformed row {row}") from None
+        if strategy not in STRATEGIES:
+            raise OSError(f"{path}: malformed row {row}: unknown strategy")
+        if not 0.0 <= fer <= 1.0:  # nan fails this too
+            raise OSError(f"{path}: malformed row {row}: FER not in [0, 1]")
+        if strategy in fers:
+            raise OSError(f"{path}: malformed row {row}: duplicate strategy")
+        fers[strategy] = fer
+    return fers
 
 
 def _cmd_compare(args: argparse.Namespace) -> int:

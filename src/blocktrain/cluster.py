@@ -10,8 +10,8 @@ may start. Every average goes through one centered-mean kernel
 order, so all modes and transports produce bit-identical results. The
 cluster owns every array a block writes, so a warmed-up block allocates no
 parameter-sized array. Workers train in slabs, contiguous ranges of worker
-indices trained in order by one thread: one slab inline when serial, at most
-one per core when threaded.
+indices trained in order by one thread: slab 0 (the only one when serial)
+on the calling thread, the rest on helper threads, at most one per core.
 """
 
 from __future__ import annotations
@@ -135,7 +135,8 @@ def decentralized_aggregate(
 
 
 def _cores() -> int:
-    """The cores this process may run on: threaded mode's most slabs."""
+    """The cores this process may run on: threaded mode's most slabs, the
+    calling thread's included."""
     if hasattr(os, "sched_getaffinity"):
         return len(os.sched_getaffinity(0))
     return os.cpu_count() or 1
@@ -193,9 +194,10 @@ class Cluster:
     model) and ``velocity`` (zeros); ``workers[i]`` must have index ``i``
     and trains in place on row ``i`` of each. The workers are split into
     slabs, contiguous index ranges (``slabs``, a :class:`ShardPlan` over
-    worker indices): one with ``threaded=False``, trained on the calling
-    thread, else ``min(N, cores)``, each a daemon thread that takes block
-    numbers from its inbox queue. A slab trains its workers in index order
+    worker indices), ``K`` of them: one with ``threaded=False``, else
+    ``min(N, cores)``. The calling thread trains slab 0 and ``K - 1`` daemon
+    helper threads take slabs 1 to ``K - 1`` from one task queue, so serial
+    mode is ``K = 1``, no helper. A slab trains its workers in index order
     with one gradient row of ``grads``, stops at its first failure and
     reports only that worker and its error. The coordinator then averages
     the rows of ``params`` (``_synchronize``; the transport is the one
@@ -237,7 +239,6 @@ class Cluster:
         self.sync_state = sync_state
         self.shadow_state = shadow_state
         self.config = config
-        self.threaded = threaded
         n = len(self.workers)
         length = len(sync_state.global_model)
         self.plan = make_shard_plan(length, n)
@@ -251,11 +252,11 @@ class Cluster:
         self._sync_out = np.empty((2, length))
         self._shadow_out = np.empty((2, length))
         self._work = np.empty((2, length))
+        self._tasks: queue.Queue = queue.Queue()
         self._results: queue.Queue = queue.Queue()
-        self._inboxes = [queue.Queue() for _ in self.grads] if threaded else []
         self._threads = [
-            threading.Thread(target=self._slab_loop, args=(s,), daemon=True)
-            for s in range(len(self._inboxes))
+            threading.Thread(target=self._slab_loop, name="slab-helper", daemon=True)
+            for _ in range(1, self.slabs.num_shards)
         ]
         for t in self._threads:
             t.start()
@@ -277,24 +278,21 @@ class Cluster:
                     return i, exc
         return None, None
 
-    def _slab_loop(self, s: int) -> None:
-        inbox = self._inboxes[s]
-        while inbox.get() is not None:
+    def _slab_loop(self) -> None:
+        while (s := self._tasks.get()) is not None:
             self._results.put(self._train_slab(s))
 
     # -- coordinator side ----------------------------------------------
 
-    def _train_workers(
-        self, block_index: int
-    ) -> tuple[int | None, BaseException | None]:
-        """One local block on every slab: ``(None, None)``, or the lowest
-        failing worker and its error."""
-        if self.threaded:
-            for inbox in self._inboxes:
-                inbox.put(block_index)
-            replies = [self._results.get() for _ in self._inboxes]
-        else:
-            replies = [self._train_slab(0)]
+    def _train_workers(self) -> tuple[int | None, BaseException | None]:
+        """One local block on every slab, slab 0 on this thread and the rest
+        on the helpers: ``(None, None)``, or the lowest failing worker and
+        its error."""
+        helper_slabs = range(1, self.slabs.num_shards)
+        for s in helper_slabs:
+            self._tasks.put(s)
+        replies = [self._train_slab(0)]
+        replies += [self._results.get() for _ in helper_slabs]
         failures = [reply for reply in replies if reply[1] is not None]
         return min(failures, key=lambda reply: reply[0], default=(None, None))
 
@@ -340,7 +338,7 @@ class Cluster:
         ``reset_momentum`` is set.
         """
         block_index = self.sync_state.block_index + 1
-        worker, exc = self._train_workers(block_index)
+        worker, exc = self._train_workers()
         if exc is None:
             try:
                 with np.errstate(over="ignore", invalid="ignore"):
@@ -357,8 +355,8 @@ class Cluster:
         return self.sync_state
 
     def close(self) -> None:
-        for inbox in self._inboxes:
-            inbox.put(None)
+        for _ in self._threads:
+            self._tasks.put(None)
         for t in self._threads:
             t.join()
         self._threads = []

@@ -322,11 +322,13 @@ def run_experiment(
         raise ConfigError("val_fraction", "validation split received no utterances")
     if len(test) == 0:
         raise ConfigError("test_fraction", "test split received no utterances")
-    shards = shard_dataset(train, config.num_workers, substream(config.seed, TAG_SHARD))
-    if any(len(s) == 0 for s in shards):
+    # checked before sharding, which builds one shard per worker; a shard is
+    # empty exactly when there are more workers than utterances
+    if config.num_workers > len(train):
         raise ConfigError(
             "num_workers", "more workers than training utterances; some shards are empty"
         )
+    shards = shard_dataset(train, config.num_workers, substream(config.seed, TAG_SHARD))
     spec = config.model_spec()
     theta0 = init_params(spec, substream(config.seed, TAG_INIT))
     sync_state = SyncState.initial(

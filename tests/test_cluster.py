@@ -176,14 +176,30 @@ def tiny_setup(
 
 
 def pin_cores(monkeypatch, cores):
-    """Make the cluster see ``cores`` cores, so threaded mode starts
-    ``min(N, cores)`` slab threads on any host."""
+    """Make the cluster see ``cores`` cores, so threaded mode trains
+    ``min(N, cores)`` slabs, all but slab 0 on helper threads, on any host."""
     monkeypatch.setattr(blocktrain.cluster, "_cores", lambda: cores)
 
 
 @pytest.fixture(autouse=True)
 def two_cores(monkeypatch):
     pin_cores(monkeypatch, 2)
+
+
+def live_helpers():
+    """The cluster helper threads alive in this process."""
+    return {t for t in threading.enumerate() if t.name == "slab-helper"}
+
+
+@pytest.fixture(autouse=True)
+def no_helper_left_running():
+    # every cluster a test makes must be closed, and close() must join
+    # every helper it started
+    before = live_helpers()
+    yield
+    left = live_helpers() - before
+    if left:
+        pytest.fail(f"{len(left)} cluster helper thread(s) still alive after the test")
 
 
 def run_blocks(threaded, transport, blocks=4, n_workers=3, **kw):
@@ -198,8 +214,8 @@ def run_blocks(threaded, transport, blocks=4, n_workers=3, **kw):
     return trajectory, worker_models, final_global
 
 
-# four workers trained by two slab threads (workers 0-1 and 2-3), by one slab
-# thread, and serially
+# four workers in two slabs (workers 0-1 on the calling thread, 2-3 on a
+# helper thread), in one slab on a one-core host, and serially
 SLAB_MODES = pytest.mark.parametrize(
     "cores", [2, 1, None], ids=["threaded", "one-slab", "serial"]
 )
@@ -230,28 +246,37 @@ class TestCluster:
 
     @pytest.mark.parametrize("cores", [1, 2, 3, 5, 8])
     def test_one_thread_per_slab_at_most_one_per_core(self, cores, monkeypatch):
-        # each slab trains its workers with its own gradient row
+        # each slab trains its workers with its own gradient row; slab 0
+        # trains on the calling thread, every other slab on a helper thread
         grads = {}
+        threads = {}
         train = WorkerState.run_local_block
 
         def recording(self, spec, params, velocity, grad, config):
             grads[self.index] = grad
+            threads[self.index] = threading.get_ident()
             train(self, spec, params, velocity, grad, config)
 
         monkeypatch.setattr(WorkerState, "run_local_block", recording)
         pin_cores(monkeypatch, cores)
+        caller = threading.get_ident()
         spec, workers, sync, shadow, config = tiny_setup(5, "centralized")
         with Cluster(spec, workers, sync, shadow, config, threaded=True) as cluster:
-            assert len(cluster._threads) == min(5, cores)
+            assert len(cluster._threads) == min(5, cores) - 1
+            assert live_helpers() == set(cluster._threads)
             assert cluster.slabs == make_shard_plan(5, min(5, cores))
             assert cluster.grads.shape == (min(5, cores), cluster.params.shape[1])
             cluster.run_block()
             for s, row in enumerate(cluster.grads):
                 for i in range(*cluster.slabs.range_of(s)):
                     assert np.shares_memory(grads[i], row)
+                    assert (threads[i] == caller) == (s == 0), (s, i)
+        threads.clear()
         with Cluster(spec, workers, sync, shadow, config, threaded=False) as cluster:
             assert cluster._threads == []
             assert cluster.slabs.bounds == (0, 5)
+            cluster.run_block()
+        assert threads == dict.fromkeys(range(5), caller)
 
     def test_transports_match_bitwise(self):
         for spec in (MLP, LSTM):
@@ -266,7 +291,7 @@ class TestCluster:
 
     def test_broadcast_reaches_threads_under_fast_switching(self, monkeypatch):
         # the coordinator writes each worker's model between blocks and a
-        # slab thread reads it in the next one; a worker that trained on a
+        # helper thread reads it in the next one; a worker that trained on a
         # stale model would change the trajectory
         pin_cores(monkeypatch, 3)
         serial = run_blocks(False, "decentralized", blocks=6, n_workers=6)
@@ -449,6 +474,42 @@ class TestCluster:
         with pytest.raises(FloatingPointError) as failure:
             bounded(body, timeout=30)
         assert str(failure.value) == "block 1, worker 1: slow failure"
+
+    def test_slab_0_failure_waits_for_the_helper_slab(self, monkeypatch):
+        # worker 1 crashes at once on the calling thread while the helper
+        # slab (workers 2-3) still trains; worker 3 then crashes too. The
+        # coordinator raises only once the helper has replied, names the
+        # lower worker, leaves no reply behind, and close() joins the helper
+        train = WorkerState.run_local_block
+        helper_replied = threading.Event()
+
+        def failing(self, spec, params, velocity, grad, config):
+            if self.index == 1:
+                raise RuntimeError("fast failure")
+            if self.index == 3:
+                time.sleep(0.2)
+                helper_replied.set()
+                raise KeyError("slow failure")
+            train(self, spec, params, velocity, grad, config)
+
+        monkeypatch.setattr(WorkerState, "run_local_block", failing)
+        spec, workers, sync, shadow, config = tiny_setup(4, "decentralized")
+        seen = []
+
+        def body():
+            with Cluster(spec, workers, sync, shadow, config, threaded=True) as cluster:
+                seen.append(cluster)
+                try:
+                    cluster.run_block()
+                finally:
+                    seen.append(helper_replied.is_set())
+
+        with pytest.raises(RuntimeError) as failure:
+            bounded(body, timeout=30)
+        assert str(failure.value) == "block 1, worker 1: fast failure"
+        cluster, replied = seen
+        assert replied
+        assert cluster._results.empty()
 
     @SLAB_MODES
     @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")

@@ -260,6 +260,15 @@ class TestRunExperiment:
         with pytest.raises(ConfigError, match="num_workers"):
             run_experiment(cfg, threaded=False)
 
+    def test_huge_num_workers_rejected_before_sharding(self, monkeypatch):
+        # sharding builds one shard per worker, so it must not be reached
+        def no_sharding(*args):
+            raise AssertionError("shard_dataset called")
+
+        monkeypatch.setattr(experiment, "shard_dataset", no_sharding)
+        with pytest.raises(ConfigError, match="num_workers"):
+            run_experiment(replace(TINY, num_workers=10**12), threaded=False)
+
 
 class TestCliRun:
     def test_run_writes_artifacts_and_reruns_identically(self, tmp_path, capsys):
@@ -325,6 +334,16 @@ class TestCliRun:
         code = main(["run", "--config", str(cfg_path), "--out", str(tmp_path / "out")])
         assert code == 2
         assert "block_learning_rate" in capsys.readouterr().err
+
+    def test_undecodable_config_fails_naming_the_file(self, tmp_path, capsys):
+        cfg_path = tmp_path / "exp.cfg"
+        cfg_path.write_bytes(b"seed = 1\n\xff\xfe\n")
+        code = main(["run", "--config", str(cfg_path), "--out", str(tmp_path / "out")])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err.startswith(f"error: {cfg_path}: ")
+        assert err.count("\n") == 1 and "Traceback" not in err
+        assert not (tmp_path / "out").exists()
 
     def test_unwritable_out_dir_fails(self, tmp_path, capsys):
         cfg_path = tmp_path / "exp.cfg"
@@ -428,6 +447,16 @@ class TestCliCompare:
         assert "malformed row" in err
 
 
+    def test_undecodable_final_csv_fails_naming_the_file(self, tmp_path, capsys):
+        run_dir = tmp_path / "run"
+        run_dir.mkdir()
+        (run_dir / "final.csv").write_bytes(b"strategy,test_fer\nbmuf,0.2\xff\n")
+        assert main(["compare", str(run_dir)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {run_dir / 'final.csv'}: ")
+        assert err.count("\n") == 1 and "Traceback" not in err
+
+
 class TestArtifacts:
     def test_write_artifacts_layout(self, tmp_path):
         result = run_experiment(TINY, threaded=False)
@@ -487,6 +516,15 @@ class TestSeedSweepOverrides:
         err = capsys.readouterr().err
         assert err.startswith("error: ")
         assert "'num_workers'" in err
+
+    @pytest.mark.parametrize("seeds", ["0", "-3"])
+    def test_seeds_below_1_exit_2(self, seeds, capsys):
+        with pytest.raises(SystemExit) as stop:
+            load_seed_sweep().main(["--seeds", seeds, "--models", "mlp"])
+        assert stop.value.code == 2
+        captured = capsys.readouterr()
+        assert "--seeds" in captured.err
+        assert captured.out == ""
 
 
 class TestSeedSweepFailures:
