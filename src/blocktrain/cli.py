@@ -56,7 +56,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
         config = config.with_seed(args.seed)
     result = run_experiment(config, threaded=not args.single_thread)
     write_run_artifacts(result, Path(args.out))
-    for strategy in ("bmuf", "ma", "ema"):
+    for strategy in STRATEGIES:
         fer = result.final_test_fer[strategy]
         print(f"{strategy}: final test fer {fer * 100:.2f}%")
     return 0

@@ -39,7 +39,10 @@ class Utterance:
 
     def __post_init__(self) -> None:
         frames = np.asarray(self.frames, dtype=np.float64)
-        labels = np.asarray(self.labels, dtype=np.int64)
+        labels = np.asarray(self.labels)
+        if labels.size and not np.issubdtype(labels.dtype, np.integer):
+            raise ValueError(f"labels must be integer class indices, not {labels.dtype}")
+        labels = labels.astype(np.int64, copy=False)
         if frames.ndim != 2 or frames.shape[0] < 1:
             raise ValueError(f"frames must be (T >= 1, dim), got {frames.shape}")
         if labels.shape != (frames.shape[0],):

@@ -30,7 +30,7 @@ from .data import (
 from .metrics import EvalRecord, evaluate_checkpoints
 from .models import Batch, LstmSpec, MlpSpec, ModelSpec, init_params
 from .numerics import ParamVector, substream
-from .sync import Checkpoint, ShadowState, SyncState
+from .sync import STRATEGIES, Checkpoint, ShadowState, SyncState
 
 __all__ = [
     "ConfigError",
@@ -434,7 +434,7 @@ def write_run_artifacts(result: ExperimentResult, out_dir: str | Path) -> None:
             fh.write(f"{r.strategy},{_fmt(r.epoch)},{_fmt(r.fer)}\n")
     with open(out / "final.csv", "w", newline="") as fh:
         fh.write(FINAL_HEADER + "\n")
-        for strategy in ("bmuf", "ma", "ema"):
+        for strategy in STRATEGIES:
             if strategy in result.final_test_fer:
                 fh.write(f"{strategy},{_fmt(result.final_test_fer[strategy])}\n")
     (out / "manifest.cfg").write_text(result.config.to_text())

@@ -19,15 +19,15 @@ evaluating many checkpoints on one set allocates its activations once, and
 :func:`backward` can write the gradient into a caller's buffer, so that a
 training worker allocates no parameter-sized array per step.
 
-Parameter packing (row-major, in order):
+Parameter packing (row-major, in order): ``_layout(spec)`` lists the
+``(rows, cols)`` of every layer, packed as ``W (rows, cols)`` then ``b (cols,)``;
+it is the one place the code encodes the packing.
 
-* MLP: for each layer ``l``: ``W_l`` with shape ``(d_l, d_{l+1})``, then
-  ``b_l`` with shape ``(d_{l+1},)``. Hidden activations are sigmoid, the last
-  layer produces softmax logits.
-* LSTM: for each recurrent layer: ``W`` with shape ``(D + H, 4H)`` applied to
-  the concatenation ``[x_t, h_{t-1}]``, then ``b`` with shape ``(4H,)``. Gate
-  order along the ``4H`` axis is input, forget, candidate, output. After all
-  recurrent layers comes the output projection ``W_out (H, K)``, ``b_out (K,)``.
+* MLP: ``(d_l, d_{l+1})`` per pair of adjacent layer sizes. Hidden
+  activations are sigmoid, the last layer produces softmax logits.
+* LSTM: ``(D + H, 4H)`` per recurrent layer, applied to ``[x_t, h_{t-1}]``,
+  gates in the order input, forget, candidate, output; then the output
+  projection ``(H, K)``.
 
 The loss everywhere is mean cross-entropy per frame, so gradient magnitudes
 do not depend on how many frames a worker happens to hold.
@@ -36,7 +36,7 @@ do not depend on how many frames a worker happens to hold.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import partial
+from functools import cache, partial
 from typing import Callable, Sequence, Union
 
 import numpy as np
@@ -120,7 +120,10 @@ class Batch:
 
     def __post_init__(self) -> None:
         inputs = np.asarray(self.inputs, dtype=np.float64)
-        targets = np.asarray(self.targets, dtype=np.int64)
+        targets = np.asarray(self.targets)
+        if targets.size and not np.issubdtype(targets.dtype, np.integer):
+            raise ValueError(f"targets must be integer class indices, not {targets.dtype}")
+        targets = targets.astype(np.int64, copy=False)
         if inputs.ndim != 2:
             raise ValueError(f"inputs must be (frames, dim), got {inputs.shape}")
         if targets.shape != (inputs.shape[0],):
@@ -182,52 +185,34 @@ def _softmax_ce(logits: np.ndarray, targets: np.ndarray) -> tuple[np.ndarray, np
 # parameter packing
 
 
-def param_count(spec: ModelSpec) -> int:
-    """Number of trainable parameters described by ``spec``."""
+@cache
+def _layout(spec: ModelSpec) -> tuple[tuple[int, int], ...]:
+    """``(rows, cols)`` of every packed layer in packing order; the parameter
+    count, the views, the initialisation and the MLP workspace all read it."""
     if isinstance(spec, MlpSpec):
         sizes = spec.layer_sizes
-        return sum(d_in * d_out + d_out for d_in, d_out in zip(sizes, sizes[1:]))
-    n = 0
-    d = spec.input_dim
-    for _ in range(spec.num_layers):
-        n += (d + spec.hidden_dim) * 4 * spec.hidden_dim + 4 * spec.hidden_dim
-        d = spec.hidden_dim
-    n += spec.hidden_dim * spec.output_dim + spec.output_dim
-    return n
+        return tuple(zip(sizes, sizes[1:]))
+    h = spec.hidden_dim
+    inputs = [spec.input_dim] + [h] * (spec.num_layers - 1)
+    return tuple((d + h, 4 * h) for d in inputs) + ((h, spec.output_dim),)
 
 
-def _mlp_views(spec: MlpSpec, arr: np.ndarray) -> list[tuple[np.ndarray, np.ndarray]]:
+@cache
+def param_count(spec: ModelSpec) -> int:
+    """Number of trainable parameters described by ``spec``."""
+    return sum(rows * cols + cols for rows, cols in _layout(spec))
+
+
+def _views(spec: ModelSpec, arr: np.ndarray) -> list[tuple[np.ndarray, np.ndarray]]:
+    """``(W, b)`` views into ``arr`` for every layer of :func:`_layout`."""
     views = []
     off = 0
-    sizes = spec.layer_sizes
-    for d_in, d_out in zip(sizes, sizes[1:]):
-        w = arr[off : off + d_in * d_out].reshape(d_in, d_out)
-        off += d_in * d_out
-        b = arr[off : off + d_out]
-        off += d_out
-        views.append((w, b))
+    for rows, cols in _layout(spec):
+        w = arr[off : off + rows * cols].reshape(rows, cols)
+        off += rows * cols
+        views.append((w, arr[off : off + cols]))
+        off += cols
     return views
-
-
-def _lstm_views(
-    spec: LstmSpec, arr: np.ndarray
-) -> tuple[list[tuple[np.ndarray, np.ndarray]], np.ndarray, np.ndarray]:
-    layers = []
-    off = 0
-    h = spec.hidden_dim
-    d = spec.input_dim
-    for _ in range(spec.num_layers):
-        w = arr[off : off + (d + h) * 4 * h].reshape(d + h, 4 * h)
-        off += (d + h) * 4 * h
-        b = arr[off : off + 4 * h]
-        off += 4 * h
-        layers.append((w, b))
-        d = h
-    k = spec.output_dim
-    w_out = arr[off : off + h * k].reshape(h, k)
-    off += h * k
-    b_out = arr[off : off + k]
-    return layers, w_out, b_out
 
 
 def _check_call(
@@ -254,21 +239,11 @@ def init_params(spec: ModelSpec, rng: np.random.Generator) -> ParamVector:
     pure function of the stream state.
     """
     out = np.zeros(param_count(spec))
-    if isinstance(spec, MlpSpec):
-        for w, b in _mlp_views(spec, out):
-            scale = 1.0 / np.sqrt(w.shape[0])
-            w[...] = rng.uniform(-scale, scale, size=w.shape)
-            b[...] = 0.0
-    else:
-        layers, w_out, b_out = _lstm_views(spec, out)
-        h = spec.hidden_dim
-        for w, b in layers:
-            scale = 1.0 / np.sqrt(w.shape[0])
-            w[...] = rng.uniform(-scale, scale, size=w.shape)
-            b[...] = 0.0
-            b[h : 2 * h] = 1.0
-        w_out[...] = rng.uniform(-1.0 / np.sqrt(h), 1.0 / np.sqrt(h), size=w_out.shape)
-        b_out[...] = 0.0
+    for idx, (w, b) in enumerate(_views(spec, out)):
+        scale = 1.0 / np.sqrt(w.shape[0])
+        w[...] = rng.uniform(-scale, scale, size=w.shape)
+        if isinstance(spec, LstmSpec) and idx < spec.num_layers:
+            b[spec.hidden_dim : 2 * spec.hidden_dim] = 1.0  # forget gate
     return ParamVector(frozen(out))
 
 
@@ -294,7 +269,7 @@ def forward_workspace(spec: ModelSpec, rows: int) -> list[np.ndarray] | None:
     whose forward always allocates."""
     if not isinstance(spec, MlpSpec):
         return None
-    return [np.empty((rows, d_out)) for d_out in spec.layer_sizes[1:]]
+    return [np.empty((rows, cols)) for _, cols in _layout(spec)]
 
 
 def _mlp_forward(
@@ -303,7 +278,7 @@ def _mlp_forward(
     out: list[np.ndarray] | None = None,
 ) -> tuple[np.ndarray, list[np.ndarray]]:
     """Logits plus every layer's input activations, for the weight views
-    ``layers`` (:func:`_mlp_views`).
+    ``layers`` (:func:`_views`).
 
     Layer ``l`` writes its output into ``out[l]`` when given (see
     :func:`forward_workspace`), else into a fresh array; the matmul is the
@@ -320,7 +295,7 @@ def _mlp_forward(
 def _mlp_backprop(
     spec: MlpSpec, layers: list, acts: list, delta: np.ndarray, gvec: np.ndarray
 ) -> None:
-    gviews = _mlp_views(spec, gvec)
+    gviews = _views(spec, gvec)
     for idx in range(len(layers) - 1, -1, -1):
         w, _ = layers[idx]
         gw, gb = gviews[idx]
@@ -406,12 +381,12 @@ def _lstm_layer_backward(
 
 
 def _lstm_forward(
-    spec: LstmSpec, views: tuple, batch: Batch, keep_cache: bool
+    spec: LstmSpec, views: list, batch: Batch, keep_cache: bool
 ) -> tuple[np.ndarray, list[tuple]]:
     """Logits in frame order for the weight views ``views``
-    (:func:`_lstm_views`) plus, with ``keep_cache``, one entry per length
+    (:func:`_views`) plus, with ``keep_cache``, one entry per length
     group: its sequence spans, top hidden states and per-layer BPTT caches."""
-    layers, w_out, b_out = views
+    *layers, (w_out, b_out) = views
     logits = np.empty((batch.num_frames, spec.output_dim))
     groups = []
     for steps, spans in _length_groups(batch.seq_lengths).items():
@@ -430,11 +405,11 @@ def _lstm_forward(
 
 
 def _lstm_backprop(
-    spec: LstmSpec, views: tuple, groups: list, delta: np.ndarray, gvec: np.ndarray
+    spec: LstmSpec, views: list, groups: list, delta: np.ndarray, gvec: np.ndarray
 ) -> None:
-    layers, w_out, _ = views
+    *layers, (w_out, _) = views
     gvec.fill(0.0)
-    gl, gw_out, gb_out = _lstm_views(spec, gvec)
+    *gl, (gw_out, gb_out) = _views(spec, gvec)
     for spans, h_top, caches in groups:
         d = np.concatenate([delta[lo:hi] for lo, hi in spans])
         gw_out += h_top.T @ d
@@ -464,11 +439,10 @@ def _forward(
     _check_call(spec, params, batch)
     values = params.values if isinstance(params, ParamVector) else params
     # the backprop reuses the forward's weight views
+    views = _views(spec, values)
     if isinstance(spec, MlpSpec):
-        layers = _mlp_views(spec, values)
-        logits, acts = _mlp_forward(layers, batch, workspace)
-        return logits, partial(_mlp_backprop, spec, layers, acts)
-    views = _lstm_views(spec, values)
+        logits, acts = _mlp_forward(views, batch, workspace)
+        return logits, partial(_mlp_backprop, spec, views, acts)
     logits, groups = _lstm_forward(spec, views, batch, keep_cache)
     return logits, partial(_lstm_backprop, spec, views, groups)
 

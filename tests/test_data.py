@@ -21,6 +21,12 @@ def small_corpus(seed, speakers=6, utts=2, frames=10, dim=3, classes=4):
     return generate_corpus(speakers, utts, frames, dim, classes, make_rng(seed))
 
 
+class TestUtterance:
+    def test_rejects_non_integer_labels(self):
+        with pytest.raises(ValueError, match="labels must be integer"):
+            Utterance(0, np.zeros((2, 3)), np.array([0.5, 1.7]))
+
+
 class TestGenerateCorpus:
     def test_deterministic(self):
         a = small_corpus(3)

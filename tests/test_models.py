@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -8,8 +10,10 @@ from blocktrain.models import (
     LstmSpec,
     MlpSpec,
     _forward,
+    _layout,
     _sigmoid,
     _softmax_ce,
+    _views,
     backward,
     forward_loss,
     forward_workspace,
@@ -91,6 +95,55 @@ class TestSpecs:
             Batch(np.full((2, 2), np.nan), np.zeros(2, dtype=int))
         with pytest.raises(ValueError, match="sum to the frame count"):
             Batch(np.zeros((3, 2)), np.zeros(3, dtype=int), (2, 2))
+
+    def test_batch_rejects_non_integer_targets(self):
+        with pytest.raises(ValueError, match="targets must be integer"):
+            Batch(np.zeros((2, 3)), np.array([0.5, 1.7]))
+
+
+SPECS = st.one_of(
+    st.lists(st.integers(1, 40), min_size=2, max_size=5).map(
+        lambda sizes: MlpSpec(tuple(sizes))
+    ),
+    st.builds(
+        LstmSpec, st.integers(1, 40), st.integers(1, 36), st.integers(1, 3), st.integers(1, 9)
+    ),
+)
+
+# sha256 of ``init_params(spec, make_rng(0))`` bytes, recorded at commit 68284af
+# (numpy 2.4.6), before the packing was read from one layout table
+INIT_DIGESTS = [
+    (MlpSpec((36, 32, 8)), "e3d89e04265a8bdc2bba1d020fff51ae8ebed9509ec889545cd9772c29136357"),
+    (MlpSpec((36, 256, 256, 8)), "d12406427086b813c56974723ffa78601c720fef9bbeda64e288bb9798fb471f"),
+    (LstmSpec(36, 16, 2, 8), "0ac526f3a66fa281d9a38cccf7fee4092c9e39beec5c769bab26c77e342599a4"),
+    (LstmSpec(5, 3, 3, 4), "4c4df5c4613441a3848737ed7d88d7316a115533fc68825ecbd0d4e066c31b94"),
+]
+
+
+class TestLayout:
+    @given(spec=SPECS, seed=st.integers(0, 2**32 - 1))
+    @settings(max_examples=80, deadline=None)
+    def test_views_pack_every_element_once_in_order(self, spec, seed):
+        n = param_count(spec)
+        arr = np.arange(n)
+        views = _views(spec, arr)
+        assert [w.shape for w, _ in views] == list(_layout(spec))
+        assert all(np.shares_memory(a, arr) for view in views for a in view)
+        flat = np.concatenate([a.ravel() for view in views for a in view])
+        assert np.array_equal(flat, arr)
+        values = init_params(spec, make_rng(seed)).values
+        assert len(values) == n
+        # biases are zero except the LSTM forget slices, which are one
+        for idx, (_, b) in enumerate(_views(spec, values)):
+            expected = np.zeros_like(b)
+            if isinstance(spec, LstmSpec) and idx < spec.num_layers:
+                expected[spec.hidden_dim : 2 * spec.hidden_dim] = 1.0
+            assert np.array_equal(b, expected)
+
+    @pytest.mark.parametrize("spec, digest", INIT_DIGESTS)
+    def test_init_params_bytes_pinned(self, spec, digest):
+        values = init_params(spec, make_rng(0)).values
+        assert hashlib.sha256(values.tobytes()).hexdigest() == digest
 
 
 class TestInit:
