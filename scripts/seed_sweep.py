@@ -20,10 +20,11 @@ failed.
 Usage: python scripts/seed_sweep.py [--seeds N] [--models mlp,lstm]
        [--set key=value ...]
 
-``--set`` values are parsed as config files parse them; an unknown key, an
-unparsable value or an invalid config exits with status 2 naming the key, and
-a model without a ``configs/default_<model>.cfg`` exits with status 2 naming
-the model; ``--seeds`` below 1 exits with status 2 naming ``--seeds``.
+``--set`` values are parsed as config files parse them; an unknown or
+repeated key, an unparsable value or an invalid config exits with status 2
+naming the key, and a model without a ``configs/default_<model>.cfg`` exits
+with status 2 naming the model; ``--seeds`` below 1 exits with status 2
+naming ``--seeds``.
 """
 
 from __future__ import annotations
@@ -49,11 +50,14 @@ from blocktrain.metrics import curve_spread, shadow_verdicts
 
 def parse_overrides(items):
     """``key=value`` strings parsed as config files parse them; raises
-    ConfigError naming the key if it is unknown or its value unparsable."""
+    ConfigError naming the key if it is unknown, repeated or its value
+    unparsable."""
     overrides = {}
     for item in items:
         key, _, raw = item.partition("=")
         key = key.strip()
+        if key in overrides:
+            raise ConfigError(key, "duplicate key")
         overrides[key] = parse_value(key, raw.strip())
     return overrides
 

@@ -14,7 +14,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .numerics import frozen
+from .models import Batch
 
 __all__ = [
     "Utterance",
@@ -31,30 +31,20 @@ __all__ = [
 
 @dataclass(frozen=True)
 class Utterance:
-    """One speaker-tagged sequence of feature frames with per-frame labels."""
+    """One speaker-tagged sequence of feature frames with per-frame labels.
+
+    The frames and labels are checked as one :class:`~blocktrain.models.Batch`
+    and kept as its read-only ``inputs`` and ``targets``.
+    """
 
     speaker: int
-    frames: np.ndarray  # (T, base_dim) float64
-    labels: np.ndarray  # (T,) int64
+    frames: np.ndarray  # (T >= 1, base_dim) float64
+    labels: np.ndarray  # (T,) int64, non-negative
 
     def __post_init__(self) -> None:
-        frames = np.asarray(self.frames, dtype=np.float64)
-        labels = np.asarray(self.labels)
-        if labels.size and not np.issubdtype(labels.dtype, np.integer):
-            raise ValueError(f"labels must be integer class indices, not {labels.dtype}")
-        labels = labels.astype(np.int64, copy=False)
-        if frames.ndim != 2 or frames.shape[0] < 1:
-            raise ValueError(f"frames must be (T >= 1, dim), got {frames.shape}")
-        if labels.shape != (frames.shape[0],):
-            raise ValueError("labels must match the frame count")
-        if not np.isfinite(frames).all():
-            raise ValueError("frames contain non-finite values")
-        if frames.flags.writeable:
-            frames = frozen(frames.copy())
-        if labels.flags.writeable:
-            labels = frozen(labels.copy())
-        object.__setattr__(self, "frames", frames)
-        object.__setattr__(self, "labels", labels)
+        batch = Batch(self.frames, self.labels)
+        object.__setattr__(self, "frames", batch.inputs)
+        object.__setattr__(self, "labels", batch.targets)
 
     @property
     def num_frames(self) -> int:
@@ -180,7 +170,7 @@ def stack_frames(
     if k < 1:
         raise ValueError(f"stacking factor must be >= 1, got {k}")
     frames = np.asarray(frames, dtype=np.float64)
-    labels = np.asarray(labels, dtype=np.int64)
+    labels = np.asarray(labels)
     n = frames.shape[0] // k
     stacked = frames[: n * k].reshape(n, k * frames.shape[1])
     super_labels = labels[k - 1 :: k][:n]

@@ -13,6 +13,7 @@ See ``configs/`` for annotated examples.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, fields, replace
 from pathlib import Path
 
@@ -71,7 +72,12 @@ class TrainingError(RuntimeError):
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    """Everything a run needs; defaults give the standard 8-worker setup."""
+    """Everything a run needs; defaults give the standard 8-worker setup.
+
+    Every value must have its field's type (a bool counts as neither an
+    integer nor a real number); a wrong type, like an invalid value, raises
+    :class:`ConfigError` naming the key.
+    """
 
     model: str = "mlp"  # mlp | lstm
     mlp_hidden: tuple[int, ...] = (32,)
@@ -103,11 +109,15 @@ class ExperimentConfig:
     seed: int = 2024
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "mlp_hidden", tuple(int(h) for h in self.mlp_hidden))
         check = _require
-        for f in fields(self):
-            if f.type in ("float", float):
-                check(math.isfinite(getattr(self, f.name)), f.name, "must be finite")
+        for key, type_name in _FIELD_TYPES.items():
+            accepts, kind, _ = _TYPE_RULES[type_name]
+            value = getattr(self, key)
+            check(accepts(value), key, f"must be {kind}, got {value!r}")
+            if type_name == "float":
+                check(math.isfinite(value), key, "must be finite")
+                object.__setattr__(self, key, float(value))
+        object.__setattr__(self, "mlp_hidden", tuple(int(h) for h in self.mlp_hidden))
         check(self.model in ("mlp", "lstm"), "model", "must be 'mlp' or 'lstm'")
         check(all(h >= 1 for h in self.mlp_hidden), "mlp_hidden", "sizes must be >= 1")
         check(self.lstm_hidden >= 1, "lstm_hidden", "must be >= 1")
@@ -226,34 +236,44 @@ def _parse_bool(rendered: str) -> bool:
     raise ValueError(f"expected true or false, got {rendered!r}")
 
 
+def _parse_ints(rendered: str) -> tuple[int, ...]:
+    return tuple(int(part.strip()) for part in rendered.split(",") if part.strip())
+
+
+# a bool is neither an integer nor a real number in a config
+def _is_int(value: object) -> bool:
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+
+
+def _is_real(value: object) -> bool:
+    return isinstance(value, numbers.Real) and not isinstance(value, bool)
+
+
+# per annotated field type: (does a value have it, its name, the parser of
+# its config-file text)
+_TYPE_RULES = {
+    "tuple[int, ...]": (
+        lambda v: isinstance(v, (tuple, list)) and all(map(_is_int, v)),
+        "a sequence of integers",
+        _parse_ints,
+    ),
+    "int": (_is_int, "an integer", int),
+    "float": (_is_real, "a real number", float),
+    "bool": (lambda v: isinstance(v, bool), "true or false", _parse_bool),
+    "str": (lambda v: isinstance(v, str), "a string", str),
+}
+_FIELD_TYPES = {f.name: f.type for f in fields(ExperimentConfig)}
+
+
 def parse_value(key: str, rendered: str) -> object:
     """One config value parsed as config files parse it; raises
     :class:`ConfigError` naming ``key`` if it is unknown or unparsable."""
-    parsers = _field_parsers()
-    if key not in parsers:
+    if key not in _FIELD_TYPES:
         raise ConfigError(key, "unknown key")
     try:
-        return parsers[key](rendered)
+        return _TYPE_RULES[_FIELD_TYPES[key]][2](rendered)
     except ValueError:
         raise ConfigError(key, f"cannot parse value {rendered!r}") from None
-
-
-def _field_parsers() -> dict:
-    parsers = {}
-    for f in fields(ExperimentConfig):
-        if f.name == "mlp_hidden":
-            parsers[f.name] = lambda s: tuple(
-                int(part.strip()) for part in s.split(",") if part.strip()
-            )
-        elif f.type in ("bool", bool):
-            parsers[f.name] = _parse_bool
-        elif f.type in ("int", int):
-            parsers[f.name] = int
-        elif f.type in ("float", float):
-            parsers[f.name] = float
-        else:
-            parsers[f.name] = str
-    return parsers
 
 
 # ---------------------------------------------------------------------------

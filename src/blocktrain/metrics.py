@@ -51,15 +51,15 @@ def evaluate_checkpoints(
     """FER of every checkpoint on ``eval_set``, in checkpoint order.
 
     Evaluation is read-only: parameters are immutable and only the forward
-    pass runs. Every checkpoint's forward writes into one workspace, so the
-    activations are allocated once per call, not once per checkpoint.
+    pass runs. Every checkpoint is predicted on ``eval_set`` itself, which
+    was checked once when it was built, and every checkpoint's forward writes
+    into one workspace, so the activations are allocated once per call, not
+    once per checkpoint.
     """
     workspace = forward_workspace(spec, eval_set.num_frames)
     records = []
     for cp in checkpoints:
-        preds = predict_frames(
-            spec, cp.params, eval_set.inputs, eval_set.seq_lengths, workspace=workspace
-        )
+        preds = predict_frames(spec, cp.params, eval_set, workspace=workspace)
         fer = frame_error_rate(preds, eval_set.targets)
         records.append(EvalRecord(cp.strategy, cp.epoch, fer))
     return records

@@ -7,13 +7,15 @@ one forward pass, which returns logits in the batch's frame order plus the
 state its backprop needs (``_mlp_forward``, ``_lstm_forward``), and one
 backprop, which writes the gradient for a given logit error into every
 element of a flat gradient vector (``_mlp_backprop``, ``_lstm_backprop``).
-``_forward`` is the one family dispatch behind the three public operations:
-:func:`forward_loss` is the forward plus the softmax cross-entropy,
-:func:`backward` adds the error signal and the backprop, and
-:func:`predict_frames` takes the argmax of the logits. The recurrent model
-runs exact backpropagation through time within each sequence, resets its
-state at sequence boundaries, and runs equal-length sequences as one batch;
-prediction keeps no BPTT caches. An MLP forward can write its layer
+``_forward`` is the one family dispatch behind the three public operations,
+which share one ``(spec, params, batch)`` signature: :func:`forward_loss` is
+the forward plus the softmax cross-entropy, :func:`backward` adds the error
+signal and the backprop, and :func:`predict_frames` takes the argmax of the
+logits. :class:`Batch` is the one checked model input: the corpus's
+utterances validate through it, and every operation takes one. The recurrent
+model runs exact backpropagation through time within each sequence, resets
+its state at sequence boundaries, and runs equal-length sequences as one
+batch; prediction keeps no BPTT caches. An MLP forward can write its layer
 outputs into a caller's workspace (:func:`forward_workspace`), so that
 evaluating many checkpoints on one set allocates its activations once, and
 :func:`backward` can write the gradient into a caller's buffer, so that a
@@ -107,11 +109,13 @@ ModelSpec = Union[MlpSpec, LstmSpec]
 class Batch:
     """Frames with per-frame class targets, segmented into sequences.
 
-    ``inputs`` is ``(num_frames, dim)``, ``targets`` is ``(num_frames,)`` of
-    class indices, and ``seq_lengths`` partitions the frame axis into
-    contiguous sequences (recurrent state resets at each boundary). A feed
-    forward model ignores the segmentation. When ``seq_lengths`` is omitted
-    the whole batch is one sequence.
+    ``inputs`` is ``(num_frames >= 1, dim)`` of finite values, ``targets``
+    is ``(num_frames,)`` of non-negative integer class indices, and
+    ``seq_lengths`` partitions the frame axis into contiguous sequences
+    (recurrent state resets at each boundary). A feed forward model ignores
+    the segmentation. When ``seq_lengths`` is omitted the whole batch is one
+    sequence. Both arrays are kept read-only: writable ones are copied,
+    read-only ones (views of checked data) are wrapped without a copy.
     """
 
     inputs: np.ndarray
@@ -121,19 +125,19 @@ class Batch:
     def __post_init__(self) -> None:
         inputs = np.asarray(self.inputs, dtype=np.float64)
         targets = np.asarray(self.targets)
-        if targets.size and not np.issubdtype(targets.dtype, np.integer):
+        if targets.size and targets.dtype.kind not in "iu":  # signed or unsigned
             raise ValueError(f"targets must be integer class indices, not {targets.dtype}")
         targets = targets.astype(np.int64, copy=False)
-        if inputs.ndim != 2:
-            raise ValueError(f"inputs must be (frames, dim), got {inputs.shape}")
+        if inputs.ndim != 2 or inputs.shape[0] < 1:
+            raise ValueError(f"inputs must be (frames >= 1, dim), got {inputs.shape}")
         if targets.shape != (inputs.shape[0],):
             raise ValueError("targets must have one entry per frame")
         if not np.isfinite(inputs).all():
             raise ValueError("inputs contain non-finite values")
         if targets.size and targets.min() < 0:
             raise ValueError("targets must be non-negative class indices")
-        lengths = tuple(int(t) for t in self.seq_lengths) or (inputs.shape[0],)
-        if any(t < 1 for t in lengths):
+        lengths = tuple(map(int, self.seq_lengths)) or (inputs.shape[0],)
+        if min(lengths) < 1:
             raise ValueError("sequence lengths must be positive")
         if sum(lengths) != inputs.shape[0]:
             raise ValueError("sequence lengths must sum to the frame count")
@@ -487,22 +491,19 @@ def backward(
 
 def predict_frames(
     spec: ModelSpec,
-    params: ParamVector,
-    inputs: np.ndarray,
-    seq_lengths: Sequence[int] | None = None,
+    params: ParamVector | np.ndarray,
+    batch: Batch,
     *,
     workspace: list[np.ndarray] | None = None,
 ) -> np.ndarray:
-    """Most likely class per frame; ties resolve to the lowest class index.
+    """Most likely class per frame of ``batch``; ties resolve to the lowest
+    class index.
 
-    ``seq_lengths`` segments the frames into sequences for recurrent models
-    (default: one sequence). Softmax is monotone, so the argmax is taken on
-    the logits directly. ``workspace`` is :func:`forward_workspace` for this
-    spec and frame count; the forward overwrites it, and the returned
-    predictions are a fresh array either way.
+    Only the inputs and the sequence segmentation feed the forward; the
+    targets are checked like every operation's, not read. Softmax is
+    monotone, so the argmax is taken on the logits directly. ``workspace`` is
+    :func:`forward_workspace` for this spec and frame count; the forward
+    overwrites it, and the returned predictions are a fresh array either way.
     """
-    inputs = np.asarray(inputs, dtype=np.float64)
-    dummy = np.zeros(inputs.shape[:1], dtype=np.int64)
-    batch = Batch(inputs, dummy, tuple(seq_lengths) if seq_lengths else ())
     logits, _ = _forward(spec, params, batch, workspace=workspace)
     return np.argmax(logits, axis=1)

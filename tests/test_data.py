@@ -14,6 +14,7 @@ from blocktrain.data import (
     split_by_speaker,
     stack_frames,
 )
+from blocktrain.models import Batch
 from blocktrain.numerics import make_rng
 
 
@@ -23,8 +24,32 @@ def small_corpus(seed, speakers=6, utts=2, frames=10, dim=3, classes=4):
 
 class TestUtterance:
     def test_rejects_non_integer_labels(self):
-        with pytest.raises(ValueError, match="labels must be integer"):
+        with pytest.raises(ValueError, match="must be integer class indices"):
             Utterance(0, np.zeros((2, 3)), np.array([0.5, 1.7]))
+
+    @pytest.mark.parametrize(
+        "frames, labels, match",
+        [
+            (np.array([[0.0, np.inf], [1.0, 2.0]]), [0, 1], "non-finite"),
+            (np.array([[0.0, 1.0], [np.nan, 2.0]]), [0, 1], "non-finite"),
+            (np.zeros(3), [0, 1, 2], r"\(frames >= 1, dim\)"),
+            (np.zeros((0, 3)), np.zeros(0, dtype=int), r"\(frames >= 1, dim\)"),
+            (np.zeros((3, 2)), [0, 1], "one entry per frame"),
+            (np.zeros((2, 2)), [0, -1], "non-negative"),
+        ],
+        ids=["inf", "nan", "1-d", "zero-frames", "label-count", "negative-label"],
+    )
+    def test_rejects_what_a_batch_rejects(self, frames, labels, match):
+        with pytest.raises(ValueError, match=match):
+            Utterance(0, frames, labels)
+
+    def test_keeps_read_only_float64_frames_and_int64_labels(self):
+        frames = np.arange(6).reshape(3, 2)
+        u = Utterance(0, frames, np.array([2, 0, 1], dtype=np.int32))
+        assert u.frames.dtype == np.float64 and u.labels.dtype == np.int64
+        assert not (u.frames.flags.writeable or u.labels.flags.writeable)
+        assert not np.shares_memory(u.frames, frames)
+        assert u.num_frames == 3
 
 
 class TestGenerateCorpus:
@@ -120,6 +145,20 @@ class TestStackFrames:
         assert np.array_equal(stacked, frames)
         assert np.array_equal(super_labels, labels)
 
+    def test_non_integer_labels_reach_the_batch_check_untruncated(self):
+        # a cast to int64 would turn the super-labels 2.2 and 2.6 into 2, 2
+        frames = np.zeros((6, 2))
+        labels = np.array([0.0, 1.0, 2.2, 0.0, 1.0, 2.6])
+        stacked, super_labels = stack_frames(frames, labels, 3)
+        assert np.array_equal(super_labels, [2.2, 2.6])
+        with pytest.raises(ValueError, match="must be integer class indices"):
+            Batch(stacked, super_labels)
+
+    def test_int64_super_labels_are_a_view(self):
+        labels = np.arange(6, dtype=np.int64)
+        _, super_labels = stack_frames(np.zeros((6, 2)), labels, 3)
+        assert np.shares_memory(super_labels, labels)
+
     def test_k_validation(self):
         with pytest.raises(ValueError, match=">= 1"):
             stack_frames(np.zeros((3, 2)), np.zeros(3), 0)
@@ -205,4 +244,17 @@ class TestCorpusIo:
             labels=np.zeros(1, dtype=np.int64),
         )
         with pytest.raises(ValueError, match="format version"):
+            load_corpus(path)
+
+    def test_rejects_negative_label_at_load(self, tmp_path):
+        path = tmp_path / "corpus.npz"
+        np.savez(
+            path,
+            format_version=1,
+            speakers=np.zeros(2, dtype=np.int64),
+            frame_counts=np.array([2, 2]),
+            frames=np.zeros((4, 2)),
+            labels=np.array([0, 1, -3, 0], dtype=np.int64),
+        )
+        with pytest.raises(ValueError, match="non-negative"):
             load_corpus(path)

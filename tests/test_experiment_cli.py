@@ -108,6 +108,34 @@ class TestConfigRoundTrip:
         with pytest.raises(ConfigError, match="block_momentum"):
             ExperimentConfig(block_momentum=1.0)
 
+    @pytest.mark.parametrize(
+        "key, value, kind",
+        [
+            # seed 1.5 would train as seed 1 and write a manifest that
+            # ``--config`` rejects
+            ("seed", 1.5, "an integer"),
+            ("epochs", 2.5, "an integer"),
+            ("num_workers", True, "an integer"),
+            ("lstm_layers", "2", "an integer"),
+            ("mlp_hidden", (32.7,), "a sequence of integers"),
+            ("mlp_hidden", (True, 4), "a sequence of integers"),
+            ("mlp_hidden", 32, "a sequence of integers"),
+            ("learning_rate", False, "a real number"),
+            ("ema_rate", "0.9", "a real number"),
+            ("reset_momentum", 1, "true or false"),
+            ("model", None, "a string"),
+        ],
+    )
+    def test_wrong_type_is_named(self, key, value, kind):
+        with pytest.raises(ConfigError, match=f"'{key}': must be {kind}, got"):
+            ExperimentConfig(**{key: value})
+
+    def test_integer_float_value_is_stored_as_float(self):
+        cfg = ExperimentConfig(block_learning_rate=1)
+        assert type(cfg.block_learning_rate) is float
+        assert "block_learning_rate = 1.0\n" in cfg.to_text()
+        assert ExperimentConfig.from_text(cfg.to_text()).to_text() == cfg.to_text()
+
     @pytest.mark.parametrize("value", ["inf", "-inf", "nan"])
     @pytest.mark.parametrize(
         "key", [f.name for f in fields(ExperimentConfig) if f.type in ("float", float)]
@@ -497,6 +525,17 @@ class TestSeedSweepOverrides:
             load_seed_sweep().main(["--seeds", "1", "--models", "mlp", "--set", item])
         assert stop.value.code == 2
         assert f"'{key}'" in capsys.readouterr().err
+
+    def test_duplicate_key_names_key_and_exits_2(self, capsys):
+        # a config file rejects a repeated key, so the overrides do too
+        with pytest.raises(ConfigError, match="'epochs': duplicate key"):
+            load_seed_sweep().parse_overrides(["epochs=1", "epochs=2"])
+        with pytest.raises(SystemExit) as stop:
+            load_seed_sweep().main(
+                ["--seeds", "1", "--models", "mlp", "--set", "epochs=1", "--set", "epochs=2"]
+            )
+        assert stop.value.code == 2
+        assert "'epochs': duplicate key" in capsys.readouterr().err
 
     def test_unknown_model_names_model_and_exits_2(self, capsys):
         with pytest.raises(SystemExit) as stop:

@@ -122,7 +122,7 @@ class TestEvaluateCheckpoints:
                 cp.strategy,
                 cp.epoch,
                 frame_error_rate(
-                    predict_frames(spec, cp.params, batch.inputs, batch.seq_lengths),
+                    predict_frames(spec, cp.params, batch),
                     batch.targets,
                 ),
             )
@@ -144,6 +144,23 @@ class TestEvaluateCheckpoints:
         evaluate_checkpoints(checkpoints, eval_batch_from_corpus(), spec)
         assert len(seen) == 3 and seen[0] is not None
         assert all(w is seen[0] for w in seen)
+
+    def test_every_checkpoint_predicts_on_the_eval_batch_itself(self, monkeypatch):
+        # the set is checked once, when it is built, not rebuilt per checkpoint
+        seen = []
+
+        def spy(spec, params, batch, *, workspace=None):
+            seen.append(batch)
+            return predict_frames(spec, params, batch, workspace=workspace)
+
+        monkeypatch.setattr(metrics, "predict_frames", spy)
+        spec = LstmSpec(8, 4, 2, 5)
+        rng = make_rng(17)
+        checkpoints = [Checkpoint("ema", q, q / 4, init_params(spec, rng)) for q in (1, 2)]
+        batch = eval_batch_from_corpus()
+        evaluate_checkpoints(checkpoints, batch, spec)
+        assert len(seen) == 2
+        assert all(b is batch for b in seen)
 
     def test_spec_mismatch_raises(self):
         spec = MlpSpec((8, 6, 5))

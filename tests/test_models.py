@@ -39,6 +39,11 @@ def random_batch(rng, frames, dim, classes, seq_lengths=()):
     )
 
 
+def unlabelled(inputs, seq_lengths=()):
+    """``inputs`` as a Batch for prediction, which reads no targets."""
+    return Batch(inputs, np.zeros(len(inputs), dtype=int), seq_lengths)
+
+
 def sigmoid_reference(z):
     """The allocating tanh form every in-place sigmoid must match bit for bit."""
     return 0.5 * (1.0 + np.tanh(0.5 * z))
@@ -402,8 +407,8 @@ class TestEvaluationLogits:
             logits, _ = _forward(spec, params, batch, workspace=workspace)
             assert np.array_equal(logits, want)
             assert np.array_equal(
-                predict_frames(spec, params, inputs, workspace=workspace),
-                predict_frames(spec, params, inputs),
+                predict_frames(spec, params, batch, workspace=workspace),
+                predict_frames(spec, params, batch),
             )
 
 
@@ -418,7 +423,7 @@ class TestForwardWorkspace:
         rng = make_rng(59)
         spec = MlpSpec((36, 32, 8))
         a, b = init_params(spec, rng), init_params(spec, rng)
-        inputs = rng.normal(size=(500, 36))
+        inputs = unlabelled(rng.normal(size=(500, 36)))
         workspace = forward_workspace(spec, 500)
         first = predict_frames(spec, a, inputs, workspace=workspace)
         kept = first.copy()
@@ -433,7 +438,7 @@ class TestForwardWorkspace:
     def test_predictions_do_not_alias_workspace(self):
         rng = make_rng(61)
         spec = MlpSpec((6, 9, 4))
-        inputs = rng.normal(size=(20, 6))
+        inputs = unlabelled(rng.normal(size=(20, 6)))
         workspace = forward_workspace(spec, 20)
         preds = predict_frames(spec, init_params(spec, rng), inputs, workspace=workspace)
         assert not any(np.shares_memory(preds, w) for w in workspace)
@@ -442,12 +447,12 @@ class TestForwardWorkspace:
         rng = make_rng(67)
         spec = LstmSpec(6, 5, 2, 4)
         params = init_params(spec, rng)
-        inputs = rng.normal(size=(11, 6))
+        inputs = unlabelled(rng.normal(size=(11, 6)), (4, 3, 4))
         workspace = forward_workspace(spec, 11)
         assert workspace is None
         assert np.array_equal(
-            predict_frames(spec, params, inputs, (4, 3, 4), workspace=workspace),
-            predict_frames(spec, params, inputs, (4, 3, 4)),
+            predict_frames(spec, params, inputs, workspace=workspace),
+            predict_frames(spec, params, inputs),
         )
 
 
@@ -464,7 +469,7 @@ class TestCallerMemory:
         targets = rng.integers(4, size=inputs.shape[0])
         rows_before, inputs_before = rows.tobytes(), inputs.tobytes()
         backward(spec, rows[1], Batch(inputs, targets, lengths))
-        predict_frames(spec, rows[1], inputs, lengths)
+        predict_frames(spec, rows[1], Batch(inputs, targets, lengths))
         assert rows.flags.writeable and inputs.flags.writeable
         assert rows.tobytes() == rows_before
         assert inputs.tobytes() == inputs_before
@@ -474,7 +479,7 @@ class TestPredict:
     def test_logit_examples_and_ties(self):
         # bias-only net: logits equal the bias vector for every frame
         spec = MlpSpec((1, 2))
-        inputs = np.zeros((3, 1))
+        inputs = unlabelled(np.zeros((3, 1)))
         biased = np.array([0.0, 0.0, 0.1, 0.9])
         assert np.array_equal(
             predict_frames(spec, ParamVector(biased), inputs), [1, 1, 1]
@@ -486,13 +491,15 @@ class TestPredict:
         rng = make_rng(2)
         for spec in (MlpSpec((4, 3, 5)), LstmSpec(4, 3, 1, 5)):
             zero = ParamVector.zeros(param_count(spec))
-            preds = predict_frames(spec, zero, rng.normal(size=(7, 4)), (3, 4))
+            preds = predict_frames(spec, zero, unlabelled(rng.normal(size=(7, 4)), (3, 4)))
             assert np.array_equal(preds, np.zeros(7, dtype=int))
 
     def test_dimension_mismatch(self):
         spec = MlpSpec((4, 3))
         with pytest.raises(ValueError, match="inputs must be"):
-            predict_frames(spec, ParamVector.zeros(param_count(spec)), np.zeros((2, 5)))
+            predict_frames(
+                spec, ParamVector.zeros(param_count(spec)), unlabelled(np.zeros((2, 5)))
+            )
 
     def test_lstm_grouped_eval_matches_per_sequence(self):
         rng = make_rng(13)
@@ -500,10 +507,10 @@ class TestPredict:
         params = init_params(spec, rng)
         seqs = [rng.normal(size=(5, 3)) for _ in range(6)]
         grouped = predict_frames(
-            spec, params, np.concatenate(seqs), tuple(len(s) for s in seqs)
+            spec, params, unlabelled(np.concatenate(seqs), tuple(len(s) for s in seqs))
         )
         singly = np.concatenate(
-            [predict_frames(spec, params, s, (len(s),)) for s in seqs]
+            [predict_frames(spec, params, unlabelled(s, (len(s),))) for s in seqs]
         )
         assert np.array_equal(grouped, singly)
 
