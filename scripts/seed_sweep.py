@@ -22,9 +22,11 @@ Usage: python scripts/seed_sweep.py [--seeds N] [--models mlp,lstm]
 
 ``--set`` values are parsed as config files parse them; an unknown or
 repeated key, an unparsable value or an invalid config exits with status 2
-naming the key, and a model without a ``configs/default_<model>.cfg`` exits
-with status 2 naming the model; ``--seeds`` below 1 exits with status 2
-naming ``--seeds``.
+naming the key. ``--set seed=N`` exits with status 2 naming ``'seed'``,
+since the sweep runs seeds 0 to ``--seeds`` minus 1 whatever the config
+says. A model without a ``configs/default_<model>.cfg`` exits with status 2
+naming the model; ``--seeds`` below 1 exits with status 2 naming
+``--seeds``.
 """
 
 from __future__ import annotations
@@ -50,12 +52,14 @@ from blocktrain.metrics import curve_spread, shadow_verdicts
 
 def parse_overrides(items):
     """``key=value`` strings parsed as config files parse them; raises
-    ConfigError naming the key if it is unknown, repeated or its value
-    unparsable."""
+    ConfigError naming the key if it is unknown, repeated, ``seed`` (the
+    seeds come from ``--seeds``) or its value unparsable."""
     overrides = {}
     for item in items:
         key, _, raw = item.partition("=")
         key = key.strip()
+        if key == "seed":
+            raise ConfigError(key, "the sweep's seeds come from --seeds")
         if key in overrides:
             raise ConfigError(key, "duplicate key")
         overrides[key] = parse_value(key, raw.strip())

@@ -13,6 +13,7 @@ from .cluster import (
     Cluster,
     ClusterConfig,
     ShardPlan,
+    TrainingError,
     WorkerState,
     decentralized_aggregate,
     make_shard_plan,
@@ -32,7 +33,6 @@ from .experiment import (
     ConfigError,
     ExperimentConfig,
     ExperimentResult,
-    TrainingError,
     run_experiment,
     write_run_artifacts,
 )

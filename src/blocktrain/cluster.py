@@ -34,11 +34,19 @@ __all__ = [
     "ShardPlan",
     "WorkerState",
     "Cluster",
+    "TrainingError",
     "make_shard_plan",
     "decentralized_aggregate",
 ]
 
 TRANSPORTS = ("centralized", "decentralized")
+
+
+class TrainingError(RuntimeError):
+    """A block of training failed: a worker crashed or diverged, or the
+    coordinator's filter or shadow update did. The message names the block,
+    and the worker when one failed (``block 9, worker 4: ...``); the
+    ``__cause__`` is the original error, left untouched."""
 
 
 @dataclass(frozen=True)
@@ -212,13 +220,15 @@ class Cluster:
     Finiteness is checked once per block, on the average: NaN and inf stay
     non-finite under the local steps and the mean, so a worker that diverged
     anywhere in the block fails it. Only then are the rows scanned, to name
-    the lowest diverged worker. A failure is raised from ``run_block`` with
-    the block named, and the worker too when local training failed or
-    diverged: the lowest index of either kind, since a slab's first failure
-    is its lowest and every row below the lowest failing worker trained.
-    numpy's overflow warnings are silenced on every thread that trains or
-    syncs, since the check reports the divergence. The cluster is then only
-    fit to be closed.
+    the lowest diverged worker. ``run_block`` raises a failure as a
+    :class:`TrainingError` whose message names the block, and the worker too
+    when local training failed or diverged (the lowest index of either kind,
+    since a slab's first failure is its lowest and every row below the lowest
+    failing worker trained), and whose ``__cause__`` is the original error;
+    an interrupt leaves as itself, once every helper has replied. numpy's
+    overflow warnings are silenced on every thread that trains or syncs,
+    since the check reports the divergence. The cluster is then only fit to
+    be closed.
     """
 
     def __init__(
@@ -317,18 +327,18 @@ class Cluster:
             )
 
     def _blame(
-        self, exc: BaseException, block_index: int, worker: int | None
-    ) -> BaseException:
-        """``exc`` prefixed with its block and, when local training failed,
-        the worker. The lowest worker below ``worker`` (below N when no
-        worker failed) whose parameters are not all finite takes the blame
-        instead, with the divergence error."""
+        self, exc: Exception, block_index: int, worker: int | None
+    ) -> tuple[str, Exception]:
+        """The message and cause of the :class:`TrainingError` for ``exc``:
+        its block and, when local training failed, the worker. The lowest
+        worker below ``worker`` (below N when no worker failed) whose
+        parameters are not all finite takes the blame instead, with the
+        divergence error."""
         finite = np.isfinite(self.params[:worker]).all(axis=1)
         if not finite.all():
             worker, exc = int(finite.argmin()), ValueError(NON_FINITE)
         where = f"block {block_index}" + ("" if worker is None else f", worker {worker}")
-        exc.args = (f"{where}: {exc}",)
-        return exc
+        return f"{where}: {exc}", exc
 
     def run_block(self) -> SyncState:
         """Train one block on every worker, synchronize, broadcast.
@@ -339,14 +349,16 @@ class Cluster:
         """
         block_index = self.sync_state.block_index + 1
         worker, exc = self._train_workers()
-        if exc is None:
-            try:
-                with np.errstate(over="ignore", invalid="ignore"):
-                    self._synchronize()
-            except Exception as sync_exc:
-                exc = sync_exc
-        if exc is not None:
-            raise self._blame(exc, block_index, worker)
+        try:
+            # a worker's error is blamed like the coordinator's; an
+            # interrupt (not an Exception) leaves as itself
+            if exc is not None:
+                raise exc
+            with np.errstate(over="ignore", invalid="ignore"):
+                self._synchronize()
+        except Exception as failure:
+            message, cause = self._blame(failure, block_index, worker)
+            raise TrainingError(message) from cause
         # every worker is idle at the barrier, so the coordinator installs the
         # broadcast itself
         self.params[...] = self.sync_state.global_model.values

@@ -19,7 +19,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .cluster import TRANSPORTS, Cluster, ClusterConfig, WorkerState
+from .cluster import TRANSPORTS, Cluster, ClusterConfig, TrainingError, WorkerState
 from .data import (
     Corpus,
     SplitSpec,
@@ -30,7 +30,7 @@ from .data import (
 )
 from .metrics import EvalRecord, evaluate_checkpoints
 from .models import Batch, LstmSpec, MlpSpec, ModelSpec, init_params
-from .numerics import ParamVector, substream
+from .numerics import ParamVector, frozen, is_integer, substream
 from .sync import STRATEGIES, Checkpoint, ShadowState, SyncState
 
 __all__ = [
@@ -57,17 +57,15 @@ TAG_WORKER = 5
 
 
 class ConfigError(ValueError):
-    """Invalid configuration; carries the offending key."""
+    """Invalid configuration; carries the offending key. Its ``args`` are
+    ``(key, message)``, so it pickles and copies."""
 
     def __init__(self, key: str, message: str) -> None:
-        super().__init__(f"config key '{key}': {message}")
+        super().__init__(key, message)
         self.key = key
 
-
-class TrainingError(RuntimeError):
-    """A block of training failed: a worker crashed or diverged, or the
-    coordinator's filter or shadow update did. The message is the block's
-    (``block 9, worker 4: ...``); the original error is the ``__cause__``."""
+    def __str__(self) -> str:
+        return f"config key '{self.key}': {self.args[1]}"
 
 
 @dataclass(frozen=True)
@@ -240,11 +238,7 @@ def _parse_ints(rendered: str) -> tuple[int, ...]:
     return tuple(int(part.strip()) for part in rendered.split(",") if part.strip())
 
 
-# a bool is neither an integer nor a real number in a config
-def _is_int(value: object) -> bool:
-    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
-
-
+# a bool is not a real number in a config (nor, by is_integer, an integer)
 def _is_real(value: object) -> bool:
     return isinstance(value, numbers.Real) and not isinstance(value, bool)
 
@@ -253,11 +247,11 @@ def _is_real(value: object) -> bool:
 # its config-file text)
 _TYPE_RULES = {
     "tuple[int, ...]": (
-        lambda v: isinstance(v, (tuple, list)) and all(map(_is_int, v)),
+        lambda v: isinstance(v, (tuple, list)) and all(map(is_integer, v)),
         "a sequence of integers",
         _parse_ints,
     ),
-    "int": (_is_int, "an integer", int),
+    "int": (is_integer, "an integer", int),
     "float": (_is_real, "a real number", float),
     "bool": (lambda v: isinstance(v, bool), "true or false", _parse_bool),
     "str": (lambda v: isinstance(v, str), "a string", str),
@@ -301,9 +295,11 @@ def _utterance_batch(frames, labels, k: int) -> Batch:
 
 
 def _concat_batch(corpus: Corpus, k: int) -> Batch:
+    # the concatenations are fresh arrays of checked data, so the Batch
+    # wraps them read-only rather than copying them again
     parts = [stack_frames(u.frames, u.labels, k) for u in corpus.utterances]
-    inputs = np.concatenate([p[0] for p in parts])
-    labels = np.concatenate([p[1] for p in parts])
+    inputs = frozen(np.concatenate([p[0] for p in parts]))
+    labels = frozen(np.concatenate([p[1] for p in parts]))
     lengths = tuple(p[0].shape[0] for p in parts)
     return Batch(inputs, labels, lengths)
 
@@ -391,10 +387,7 @@ def run_experiment(
         threaded=threaded,
     ) as cluster:
         for t in range(1, config.epochs * blocks_per_epoch + 1):
-            try:
-                state = cluster.run_block()
-            except Exception as exc:
-                raise TrainingError(str(exc)) from exc
+            state = cluster.run_block()
             if trajectory is not None:
                 trajectory.append(state.global_model.copy())
             tag = checkpoint_tags.get(t)

@@ -43,7 +43,7 @@ from typing import Callable, Sequence, Union
 
 import numpy as np
 
-from .numerics import ParamVector, frozen
+from .numerics import ParamVector, frozen, is_integer
 
 __all__ = [
     "MlpSpec",
@@ -59,6 +59,16 @@ __all__ = [
 ]
 
 
+def _integers(name: str, values: Sequence) -> tuple[int, ...]:
+    """``values`` as Python ints; a ValueError naming ``name`` at the first
+    one that is not an integer (a bool is not, a numpy integer is)."""
+    values = tuple(values)
+    for value in values:
+        if not is_integer(value):
+            raise ValueError(f"{name}: {value!r} is not an integer")
+    return tuple(map(int, values))
+
+
 @dataclass(frozen=True)
 class MlpSpec:
     """Feed-forward net: sigmoid hidden layers, softmax output."""
@@ -66,7 +76,7 @@ class MlpSpec:
     layer_sizes: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        sizes = tuple(int(s) for s in self.layer_sizes)
+        sizes = _integers("layer_sizes", self.layer_sizes)
         if len(sizes) < 2:
             raise ValueError("MLP needs at least input and output sizes")
         if any(s < 1 for s in sizes):
@@ -96,6 +106,8 @@ class LstmSpec:
     output_dim: int = 2
 
     def __post_init__(self) -> None:
+        for name in ("input_dim", "hidden_dim", "num_layers", "output_dim"):
+            object.__setattr__(self, name, _integers(name, [getattr(self, name)])[0])
         if self.input_dim < 1 or self.hidden_dim < 1 or self.output_dim < 1:
             raise ValueError("dimensions must be >= 1")
         if self.num_layers < 1:
@@ -111,10 +123,10 @@ class Batch:
 
     ``inputs`` is ``(num_frames >= 1, dim)`` of finite values, ``targets``
     is ``(num_frames,)`` of non-negative integer class indices, and
-    ``seq_lengths`` partitions the frame axis into contiguous sequences
-    (recurrent state resets at each boundary). A feed forward model ignores
-    the segmentation. When ``seq_lengths`` is omitted the whole batch is one
-    sequence. Both arrays are kept read-only: writable ones are copied,
+    ``seq_lengths``, positive integers, partitions the frame axis into
+    contiguous sequences (recurrent state resets at each boundary). A feed
+    forward model ignores the segmentation. When ``seq_lengths`` is omitted
+    the whole batch is one sequence. Both arrays are kept read-only: writable ones are copied,
     read-only ones (views of checked data) are wrapped without a copy.
     """
 
@@ -136,7 +148,7 @@ class Batch:
             raise ValueError("inputs contain non-finite values")
         if targets.size and targets.min() < 0:
             raise ValueError("targets must be non-negative class indices")
-        lengths = tuple(map(int, self.seq_lengths)) or (inputs.shape[0],)
+        lengths = _integers("seq_lengths", self.seq_lengths) or (inputs.shape[0],)
         if min(lengths) < 1:
             raise ValueError("sequence lengths must be positive")
         if sum(lengths) != inputs.shape[0]:

@@ -20,6 +20,7 @@ reproducibility, not the particular generator, is the contract.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -35,6 +36,11 @@ __all__ = [
     "make_rng",
     "substream",
 ]
+
+
+def is_integer(value: object) -> bool:
+    """Whether ``value`` is an integer: a numpy integer is one, a bool is not."""
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
 
 
 def frozen(arr: np.ndarray) -> np.ndarray:

@@ -14,6 +14,7 @@ from blocktrain.cluster import (
     Cluster,
     ClusterConfig,
     ShardPlan,
+    TrainingError,
     WorkerState,
     decentralized_aggregate,
     make_shard_plan,
@@ -441,8 +442,9 @@ class TestCluster:
                 cluster.velocity[1] = velocity
                 cluster.run_block()
 
-        with pytest.raises(ValueError) as failure:
+        with pytest.raises(TrainingError) as failure:
             bounded(body, timeout=30)
+        assert isinstance(failure.value.__cause__, ValueError)
         assert error in str(failure.value)
         assert "block 1" in str(failure.value)
         assert "worker 1" in str(failure.value)
@@ -471,8 +473,9 @@ class TestCluster:
             ) as cluster:
                 cluster.run_block()
 
-        with pytest.raises(FloatingPointError) as failure:
+        with pytest.raises(TrainingError) as failure:
             bounded(body, timeout=30)
+        assert isinstance(failure.value.__cause__, FloatingPointError)
         assert str(failure.value) == "block 1, worker 1: slow failure"
 
     def test_slab_0_failure_waits_for_the_helper_slab(self, monkeypatch):
@@ -504,12 +507,94 @@ class TestCluster:
                 finally:
                     seen.append(helper_replied.is_set())
 
-        with pytest.raises(RuntimeError) as failure:
+        with pytest.raises(TrainingError) as failure:
             bounded(body, timeout=30)
+        assert isinstance(failure.value.__cause__, RuntimeError)
         assert str(failure.value) == "block 1, worker 1: fast failure"
         cluster, replied = seen
         assert replied
         assert cluster._results.empty()
+
+    @SLAB_MODES
+    @pytest.mark.parametrize("transport", ["centralized", "decentralized"])
+    @pytest.mark.parametrize(
+        "make_cause",
+        [
+            lambda: KeyError("missing batch"),
+            lambda: FileNotFoundError(2, "No such file or directory", "shard.bin"),
+            lambda: UnicodeDecodeError("utf-8", b"\xff", 0, 1, "invalid start byte"),
+        ],
+        ids=["KeyError", "FileNotFoundError", "UnicodeDecodeError"],
+    )
+    def test_failure_is_a_training_error_caused_by_the_original(
+        self, cores, transport, make_cause, monkeypatch
+    ):
+        # exception types whose str() does not simply print their args: the
+        # message still names the block and worker, and the worker's own
+        # exception object is the cause, unchanged
+        threaded = slab_mode(monkeypatch, cores)
+        train = WorkerState.run_local_block
+        cause = make_cause()
+        shown = str(cause)
+
+        def failing(self, spec, params, velocity, grad, config):
+            if self.index == 1:
+                raise cause
+            train(self, spec, params, velocity, grad, config)
+
+        monkeypatch.setattr(WorkerState, "run_local_block", failing)
+        spec, workers, sync, shadow, config = tiny_setup(4, transport)
+
+        def body():
+            with Cluster(
+                spec, workers, sync, shadow, config, threaded=threaded
+            ) as cluster:
+                cluster.run_block()
+
+        with pytest.raises(TrainingError) as failure:
+            bounded(body, timeout=30)
+        assert str(failure.value) == f"block 1, worker 1: {shown}"
+        assert failure.value.__cause__ is cause
+        assert str(cause) == shown
+
+    def test_interrupt_on_slab_0_passes_through_after_the_helper_replied(
+        self, monkeypatch
+    ):
+        # an interrupt on the calling thread (slab 0, workers 0-1) is not a
+        # training failure: it leaves run_block as itself, but only once the
+        # helper slab (workers 2-3) has replied, and close() joins the helper
+        train = WorkerState.run_local_block
+        helper_replied = threading.Event()
+        interrupt = KeyboardInterrupt()
+
+        def failing(self, spec, params, velocity, grad, config):
+            if self.index == 1:
+                raise interrupt
+            train(self, spec, params, velocity, grad, config)
+            if self.index == 3:
+                time.sleep(0.2)
+                helper_replied.set()
+
+        monkeypatch.setattr(WorkerState, "run_local_block", failing)
+        spec, workers, sync, shadow, config = tiny_setup(4, "decentralized")
+        seen = []
+
+        def body():
+            with Cluster(spec, workers, sync, shadow, config, threaded=True) as cluster:
+                seen.append(cluster)
+                try:
+                    cluster.run_block()
+                finally:
+                    seen.append(helper_replied.is_set())
+
+        with pytest.raises(KeyboardInterrupt) as failure:
+            bounded(body, timeout=30)
+        assert failure.value is interrupt
+        assert interrupt.args == ()
+        cluster, replied = seen
+        assert replied
+        assert cluster._results.empty()
+        assert cluster._threads == []
 
     @SLAB_MODES
     @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
@@ -529,8 +614,9 @@ class TestCluster:
                 cluster.velocity[[1, 3]] = velocity
                 cluster.run_block()
 
-        with pytest.raises(ValueError) as failure:
+        with pytest.raises(TrainingError) as failure:
             bounded(body, timeout=30)
+        assert isinstance(failure.value.__cause__, ValueError)
         assert str(failure.value) == (
             "block 1, worker 1: parameter vector contains non-finite values"
         )
@@ -565,10 +651,11 @@ class TestCluster:
             ) as cluster:
                 cluster.run_block()
 
-        with pytest.raises(Exception) as failure:
+        with pytest.raises(TrainingError) as failure:
             bounded(body, timeout=30)
         assert str(failure.value).startswith(f"block 1, {named}")
-        assert type(failure.value) is (ValueError if diverged < crashed else RuntimeError)
+        cause = failure.value.__cause__
+        assert type(cause) is (ValueError if diverged < crashed else RuntimeError)
 
     @pytest.mark.parametrize("threaded", [True, False], ids=["threaded", "serial"])
     @pytest.mark.parametrize("transport", ["centralized", "decentralized"])
@@ -590,8 +677,9 @@ class TestCluster:
             ) as cluster:
                 cluster.run_block()
 
-        with pytest.raises(ValueError) as failure:
+        with pytest.raises(TrainingError) as failure:
             bounded(body, timeout=30)
+        assert isinstance(failure.value.__cause__, ValueError)
         assert str(failure.value) == "block 1: parameter vector contains non-finite values"
 
     @pytest.mark.parametrize("transport", ["centralized", "decentralized"])
@@ -635,7 +723,8 @@ class TestCluster:
         with Cluster(spec, workers, sync, shadow, config, threaded=threaded) as cluster:
             with np.errstate(over="ignore", invalid="ignore"):
                 cluster.run_block()
-                with pytest.raises(ValueError) as failure:
+                with pytest.raises(TrainingError) as failure:
                     cluster.run_block()
         message = "block 2: parameter vector contains non-finite values"
         assert str(failure.value) == message
+        assert isinstance(failure.value.__cause__, ValueError)

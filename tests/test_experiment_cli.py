@@ -1,4 +1,7 @@
+import copy
 import importlib.util
+import pickle
+import tracemalloc
 from dataclasses import fields, replace
 from pathlib import Path
 
@@ -8,6 +11,8 @@ from hypothesis import strategies as st
 
 from blocktrain import experiment
 from blocktrain.cli import main
+from blocktrain.cluster import Cluster, WorkerState
+from blocktrain.data import generate_corpus, stack_frames
 from blocktrain.experiment import (
     ConfigError,
     ExperimentConfig,
@@ -144,6 +149,22 @@ class TestConfigRoundTrip:
         with pytest.raises(ConfigError, match=f"'{key}': must be finite"):
             ExperimentConfig.from_text(f"{key} = {value}\n")
 
+    @pytest.mark.parametrize(
+        "clone", [lambda e: pickle.loads(pickle.dumps(e)), copy.copy], ids=["pickle", "copy"]
+    )
+    @pytest.mark.parametrize(
+        "error",
+        [ConfigError("seed", "must be >= 0"), TrainingError("block 3, worker 2: boom")],
+        ids=["ConfigError", "TrainingError"],
+    )
+    def test_errors_survive_pickling_and_copying(self, clone, error):
+        # errors may cross process boundaries, which pickles them
+        twin = clone(error)
+        assert type(twin) is type(error)
+        assert str(twin) == str(error)
+        assert twin.args == error.args
+        assert getattr(twin, "key", None) == getattr(error, "key", None)
+
 
 class TestRunExperiment:
     def test_tiny_run_shapes(self):
@@ -207,6 +228,22 @@ class TestRunExperiment:
         with pytest.raises(TrainingError, match=f"^{DIVERGED}$") as failure:
             run_experiment(DIVERGING, threaded=False)
         assert type(failure.value.__cause__) is ValueError
+
+    def test_evaluation_set_is_copied_once(self):
+        # 400 utterances of 30 frames, as the default test set: the Batch
+        # wraps the concatenated frames and labels without copying them
+        corpus = generate_corpus(40, 10, 30, 12, 8, substream(5, 1))
+        parts = [stack_frames(u.frames, u.labels, 3) for u in corpus.utterances]
+        tracemalloc.start()
+        try:
+            batch = experiment._concat_batch(corpus, 3)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.5 * (batch.inputs.nbytes + batch.targets.nbytes)
+        assert batch.inputs.tobytes() == b"".join(p[0].tobytes() for p in parts)
+        assert batch.targets.tolist() == [int(t) for p in parts for t in p[1]]
+        assert batch.seq_lengths == tuple(p[0].shape[0] for p in parts)
 
     def test_too_few_blocks_per_epoch_rejected(self):
         with pytest.raises(ConfigError, match="block_size"):
@@ -408,6 +445,39 @@ class TestCliRun:
         with pytest.raises(ZeroDivisionError, match="evaluation bug"):
             main(["run", "--config", str(cfg_path), "--out", str(tmp_path / "out")])
 
+    def test_worker_os_error_ends_in_one_error_line(self, tmp_path, capsys, monkeypatch):
+        # an OSError from training is a failed run (3), not an I/O error (1),
+        # and its line keeps the block and worker
+        train = WorkerState.run_local_block
+
+        def failing(self, *args):
+            if self.index == 1:
+                raise FileNotFoundError(2, "No such file or directory", "shard.bin")
+            train(self, *args)
+
+        monkeypatch.setattr(WorkerState, "run_local_block", failing)
+        cfg_path = tmp_path / "exp.cfg"
+        write_tiny_config(cfg_path)
+        out = tmp_path / "out"
+        code = main(["run", "--config", str(cfg_path), "--out", str(out)])
+        captured = capsys.readouterr()
+        assert code == 3
+        assert captured.err == (
+            "error: block 1, worker 1: [Errno 2] No such file or directory: 'shard.bin'\n"
+        )
+        assert captured.out == ""
+        assert not out.exists()
+
+    def test_cluster_bug_outside_the_block_steps_keeps_its_type(self, monkeypatch):
+        # only a worker's or the coordinator's failure becomes a
+        # TrainingError; a fault in the cluster's own plumbing is not one
+        def broken(self):
+            raise ZeroDivisionError("plumbing bug")
+
+        monkeypatch.setattr(Cluster, "_train_workers", broken)
+        with pytest.raises(ZeroDivisionError, match="plumbing bug"):
+            run_experiment(TINY, threaded=False)
+
     def test_degenerate_collapse_bmuf_equals_ema(self, tmp_path):
         cfg_path = tmp_path / "exp.cfg"
         write_tiny_config(cfg_path, block_momentum=0.0, block_learning_rate=1.0, ema_rate=0.0)
@@ -536,6 +606,18 @@ class TestSeedSweepOverrides:
             )
         assert stop.value.code == 2
         assert "'epochs': duplicate key" in capsys.readouterr().err
+
+    def test_seed_override_names_seed_and_exits_2(self, capsys):
+        # the sweep replaces the seed with each of its own, so an override
+        # would be silently dropped
+        with pytest.raises(ConfigError, match="'seed': .*--seeds"):
+            load_seed_sweep().parse_overrides(["seed=5"])
+        with pytest.raises(SystemExit) as stop:
+            load_seed_sweep().main(["--seeds", "1", "--models", "mlp", "--set", "seed=5"])
+        assert stop.value.code == 2
+        captured = capsys.readouterr()
+        assert "'seed'" in captured.err
+        assert captured.out == ""
 
     def test_unknown_model_names_model_and_exits_2(self, capsys):
         with pytest.raises(SystemExit) as stop:

@@ -105,6 +105,46 @@ class TestSpecs:
         with pytest.raises(ValueError, match="targets must be integer"):
             Batch(np.zeros((2, 3)), np.array([0.5, 1.7]))
 
+    # sizes are never truncated: a float or a bool is rejected by name, a
+    # numpy integer is stored as a Python int
+    @pytest.mark.parametrize("sizes", [(3.7, 2), (True, 2), (3, 2.0)])
+    def test_mlp_rejects_non_integer_sizes(self, sizes):
+        with pytest.raises(ValueError, match="layer_sizes: .* is not an integer"):
+            MlpSpec(sizes)
+
+    @pytest.mark.parametrize(
+        "dims, name",
+        [
+            ((3.5, 2, 1, 2), "input_dim"),
+            ((3, 2.0, 1, 2), "hidden_dim"),
+            ((3, 2, True, 2), "num_layers"),
+            ((3, 2, 1, 2.5), "output_dim"),
+        ],
+    )
+    def test_lstm_rejects_non_integer_dims(self, dims, name):
+        with pytest.raises(ValueError, match=f"{name}: .* is not an integer"):
+            LstmSpec(*dims)
+
+    @pytest.mark.parametrize("lengths", [(2.5, 2.5), (True, True), (2, 3.0)])
+    def test_batch_rejects_non_integer_lengths(self, lengths):
+        frames = sum(map(int, lengths))
+        with pytest.raises(ValueError, match="seq_lengths: .* is not an integer"):
+            Batch(np.zeros((frames, 2)), np.zeros(frames, dtype=int), lengths)
+
+    def test_numpy_integer_sizes_stored_as_int(self):
+        mlp = MlpSpec((np.int64(4), np.int32(3), 2))
+        lstm = LstmSpec(np.int64(4), np.int16(3), np.uint8(1), np.int32(2))
+        batch = Batch(np.zeros((5, 2)), np.zeros(5, dtype=int), np.array([2, 3]))
+        for sizes in (mlp.layer_sizes, batch.seq_lengths):
+            assert all(type(v) is int for v in sizes)
+        assert all(type(v) is int for v in vars(lstm).values())
+        assert (mlp, lstm, batch.seq_lengths) == (
+            MlpSpec((4, 3, 2)),
+            LstmSpec(4, 3, 1, 2),
+            (2, 3),
+        )
+        assert param_count(lstm) == 104
+
 
 SPECS = st.one_of(
     st.lists(st.integers(1, 40), min_size=2, max_size=5).map(
