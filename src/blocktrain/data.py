@@ -15,6 +15,7 @@ from pathlib import Path
 import numpy as np
 
 from .models import Batch
+from .numerics import frozen
 
 __all__ = [
     "Utterance",
@@ -34,7 +35,8 @@ class Utterance:
     """One speaker-tagged sequence of feature frames with per-frame labels.
 
     The frames and labels are checked as one :class:`~blocktrain.models.Batch`
-    and kept as its read-only ``inputs`` and ``targets``.
+    and kept as its read-only ``inputs`` and ``targets``: writable arrays are
+    copied, read-only ones are adopted as they are.
     """
 
     speaker: int
@@ -102,7 +104,9 @@ def generate_corpus(
     utterance the label stays put and switches to a different class with
     probability ``label_change_prob`` per frame. Frames are the class mean
     plus the speaker offset plus N(0, noise_scale^2) noise. Deterministic for
-    a given generator state.
+    a given generator state: after the class means, each speaker draws its
+    offset, then each of its utterances draws its first label, its per-frame
+    change flags and hops (only when ``num_classes > 1``), then its noise.
     """
     if min(num_speakers, utt_per_speaker, num_frames, base_dim, num_classes) < 1:
         raise ValueError("all corpus counts must be >= 1")
@@ -111,20 +115,17 @@ def generate_corpus(
     for speaker in range(num_speakers):
         offset = rng.normal(0.0, speaker_spread, size=base_dim)
         for _ in range(utt_per_speaker):
-            labels = np.empty(num_frames, dtype=np.int64)
-            labels[0] = rng.integers(num_classes)
+            # label t is the first label plus every hop up to frame t, mod num_classes
+            steps = np.zeros(num_frames, dtype=np.int64)
+            first = rng.integers(num_classes)
             if num_classes > 1:
                 change = rng.random(num_frames) < label_change_prob
                 hops = rng.integers(1, num_classes, size=num_frames)
-                for t in range(1, num_frames):
-                    if change[t]:
-                        labels[t] = (labels[t - 1] + hops[t]) % num_classes
-                    else:
-                        labels[t] = labels[t - 1]
-            else:
-                labels[:] = 0
+                steps[change] = hops[change]
+            steps[0] = first
+            labels = frozen(np.cumsum(steps) % num_classes)
             noise = rng.normal(0.0, noise_scale, size=(num_frames, base_dim))
-            frames = class_means[labels] + offset + noise
+            frames = frozen(class_means[labels] + offset + noise)
             utterances.append(Utterance(speaker, frames, labels))
     return Corpus(tuple(utterances))
 
@@ -219,8 +220,8 @@ def load_corpus(path: str | Path) -> Corpus:
             raise ValueError(f"unsupported corpus format version {version}")
         speakers = data["speakers"]
         counts = data["frame_counts"]
-        frames = data["frames"]
-        labels = data["labels"]
+        frames = frozen(data["frames"])
+        labels = frozen(data["labels"])
     bounds = np.concatenate([[0], np.cumsum(counts)])
     utterances = tuple(
         Utterance(int(s), frames[lo:hi], labels[lo:hi])

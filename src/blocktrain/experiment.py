@@ -235,7 +235,8 @@ def _parse_bool(rendered: str) -> bool:
 
 
 def _parse_ints(rendered: str) -> tuple[int, ...]:
-    return tuple(int(part.strip()) for part in rendered.split(",") if part.strip())
+    # an empty value is no entries; an empty entry (``32,,64``) is an error
+    return tuple(int(part) for part in rendered.split(",")) if rendered.strip() else ()
 
 
 # a bool is not a real number in a config (nor, by is_integer, an integer)
@@ -287,11 +288,6 @@ class ExperimentResult:
     trajectory: list[ParamVector] | None = None
     sync_state: SyncState | None = None
     shadow_state: ShadowState | None = None
-
-
-def _utterance_batch(frames, labels, k: int) -> Batch:
-    stacked, super_labels = stack_frames(frames, labels, k)
-    return Batch(stacked, super_labels)
 
 
 def _concat_batch(corpus: Corpus, k: int) -> Batch:
@@ -355,7 +351,7 @@ def run_experiment(
         WorkerState(
             i,
             tuple(
-                _utterance_batch(u.frames, u.labels, config.stack)
+                Batch(*stack_frames(u.frames, u.labels, config.stack))
                 for u in shards[i].utterances
             ),
             substream(config.seed, TAG_WORKER, i),

@@ -139,7 +139,7 @@ def mean_reduce(
 
 def make_rng(seed: int) -> np.random.Generator:
     """Philox stream for ``seed``; identical seed, identical stream."""
-    return np.random.Generator(np.random.Philox(np.random.SeedSequence(int(seed))))
+    return substream(seed)
 
 
 def substream(seed: int, *tags: int) -> np.random.Generator:

@@ -132,6 +132,43 @@ def lstm_loss_reference(spec: LstmSpec, values: np.ndarray, batch: Batch) -> flo
     return total / batch.num_frames
 
 
+def corpus_reference(
+    num_speakers: int,
+    utt_per_speaker: int,
+    num_frames: int,
+    base_dim: int,
+    num_classes: int,
+    rng: np.random.Generator,
+    *,
+    label_change_prob: float = 0.1,
+    class_separation: float = 1.5,
+    speaker_spread: float = 0.6,
+    noise_scale: float = 1.0,
+) -> list[tuple[int, np.ndarray, np.ndarray]]:
+    """The synthetic corpus as ``(speaker, frames, labels)`` triples, its
+    labels walked frame by frame with the same draws in the same order."""
+    class_means = rng.normal(0.0, class_separation, size=(num_classes, base_dim))
+    out = []
+    for speaker in range(num_speakers):
+        offset = rng.normal(0.0, speaker_spread, size=base_dim)
+        for _ in range(utt_per_speaker):
+            labels = np.empty(num_frames, dtype=np.int64)
+            labels[0] = rng.integers(num_classes)
+            if num_classes > 1:
+                change = rng.random(num_frames) < label_change_prob
+                hops = rng.integers(1, num_classes, size=num_frames)
+                for t in range(1, num_frames):
+                    if change[t]:
+                        labels[t] = (labels[t - 1] + hops[t]) % num_classes
+                    else:
+                        labels[t] = labels[t - 1]
+            else:
+                labels[:] = 0
+            noise = rng.normal(0.0, noise_scale, size=(num_frames, base_dim))
+            out.append((speaker, class_means[labels] + offset + noise, labels))
+    return out
+
+
 def bmuf_reference(
     eta: float, zeta: float, theta0: np.ndarray, block_means: list[np.ndarray]
 ) -> list[np.ndarray]:

@@ -17,6 +17,8 @@ from blocktrain.data import (
 from blocktrain.models import Batch
 from blocktrain.numerics import make_rng
 
+from .oracles import corpus_reference
+
 
 def small_corpus(seed, speakers=6, utts=2, frames=10, dim=3, classes=4):
     return generate_corpus(speakers, utts, frames, dim, classes, make_rng(seed))
@@ -70,6 +72,29 @@ class TestGenerateCorpus:
     def test_counts_validated(self):
         with pytest.raises(ValueError, match=">= 1"):
             generate_corpus(0, 1, 5, 2, 2, make_rng(0))
+
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        speakers=st.integers(1, 3),
+        utts=st.integers(1, 3),
+        frames=st.integers(1, 40),
+        dim=st.integers(1, 4),
+        classes=st.integers(1, 9),
+        change=st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0.0, 1.0)),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_matches_per_frame_reference(
+        self, seed, speakers, utts, frames, dim, classes, change
+    ):
+        args = (speakers, utts, frames, dim, classes)
+        corpus = generate_corpus(*args, make_rng(seed), label_change_prob=change)
+        expected = corpus_reference(*args, make_rng(seed), label_change_prob=change)
+        assert len(corpus) == len(expected)
+        for u, (speaker, want_frames, want_labels) in zip(corpus.utterances, expected):
+            assert u.speaker == speaker
+            assert u.frames.dtype == np.float64 and u.labels.dtype == np.int64
+            assert u.frames.tobytes() == want_frames.tobytes()
+            assert u.labels.tobytes() == want_labels.tobytes()
 
     def test_linear_classifier_beats_chance(self):
         corpus = generate_corpus(10, 4, 30, 8, 5, make_rng(1))
@@ -228,10 +253,15 @@ class TestCorpusIo:
         save_corpus(path, corpus)
         loaded = load_corpus(path)
         assert len(loaded) == len(corpus)
+        # the utterances are read-only views of the file's two arrays
+        frames, labels = loaded.utterances[0].frames.base, loaded.utterances[0].labels.base
         for a, b in zip(corpus.utterances, loaded.utterances):
             assert a.speaker == b.speaker
             assert a.frames.tobytes() == b.frames.tobytes()
             assert np.array_equal(a.labels, b.labels)
+            assert not (b.frames.flags.writeable or b.labels.flags.writeable)
+            assert b.frames.base is frames and np.shares_memory(b.frames, frames)
+            assert b.labels.base is labels and np.shares_memory(b.labels, labels)
 
     def test_rejects_bad_version(self, tmp_path):
         path = tmp_path / "corpus.npz"

@@ -100,6 +100,10 @@ class TestConfigRoundTrip:
     def test_bad_value_is_named(self):
         with pytest.raises(ConfigError, match="epochs"):
             ExperimentConfig.from_text("epochs = four\n")
+        # an empty entry is an error, not a dropped layer
+        for hidden in ("32,,64", "32,", ",32", ","):
+            with pytest.raises(ConfigError, match="'mlp_hidden': cannot parse"):
+                ExperimentConfig.from_text(f"mlp_hidden = {hidden}\n")
 
     def test_duplicate_key_is_named(self):
         with pytest.raises(ConfigError, match="duplicate"):

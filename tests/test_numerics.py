@@ -96,6 +96,14 @@ class TestRng:
         assert np.array_equal(a, b)
         assert not np.array_equal(a, c)
 
+    @pytest.mark.parametrize("seed", [0, 1, 5, 2024, 2**32, 2**63, 2**64 - 1, 2**70])
+    def test_make_rng_is_the_untagged_substream(self, seed):
+        # SeedSequence(s) and SeedSequence([s]) key the same Philox stream
+        scalar = np.random.Generator(np.random.Philox(np.random.SeedSequence(seed)))
+        want = scalar.integers(0, 2**63, size=8)
+        assert np.array_equal(make_rng(seed).integers(0, 2**63, size=8), want)
+        assert np.array_equal(substream(seed).integers(0, 2**63, size=8), want)
+
     def test_substream_rejects_negative_tags(self):
         with pytest.raises(ValueError, match="non-negative"):
             substream(3, -1)
