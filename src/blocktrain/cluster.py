@@ -4,8 +4,9 @@ A block is one fixed sequence, defined once in :meth:`Cluster.run_block`:
 every worker trains on its own shard stream, the coordinator averages the
 local models (whole vectors under the centralized transport, shard by shard
 under the decentralized one), the filtered global update runs, the shadows
-observe it, and the new global model is broadcast back before the next block
-may start. Every average goes through one centered-mean kernel
+observe it, and every worker starts the next block from the new global model:
+its first local step reads the coordinator's array, so the broadcast writes
+no per-worker copy. Every average goes through one centered-mean kernel
 (:func:`~blocktrain.numerics.centered_mean`) that sums in ascending worker
 order, so all modes and transports produce bit-identical results. The
 cluster owns every array a block writes, so a warmed-up block allocates no
@@ -182,16 +183,24 @@ class WorkerState:
     def run_local_block(
         self,
         spec: ModelSpec,
+        start: np.ndarray,
         params: np.ndarray,
         velocity: np.ndarray,
         grad: np.ndarray,
         config: ClusterConfig,
     ) -> None:
-        """``config.block_size`` momentum steps in place on the worker's rows,
-        with ``grad`` as the gradient buffer of every step."""
+        """``config.block_size`` momentum steps on the worker's rows, with
+        ``grad`` as the gradient buffer of every step. The first step reads
+        the block's start model ``start``, which it never writes, and
+        overwrites ``params``; the later steps run in place on ``params``."""
+        model = start
         for _ in range(config.block_size):
-            backward(spec, params, self.next_batch(), out=grad)
-            sgd_step(params, grad, velocity, config.learning_rate, config.momentum)
+            backward(spec, model, self.next_batch(), out=grad)
+            sgd_step(
+                params, grad, velocity, config.learning_rate, config.momentum,
+                start=model,
+            )
+            model = params
 
 
 class Cluster:
@@ -200,7 +209,10 @@ class Cluster:
     The cluster owns every array a block writes. Worker state is two
     ``(N, P)`` arrays, ``params`` (every row starts as the initial global
     model) and ``velocity`` (zeros); ``workers[i]`` must have index ``i``
-    and trains in place on row ``i`` of each. The workers are split into
+    and trains on row ``i`` of each. Each block starts every worker from
+    ``sync_state.global_model``: the first local step reads it, never
+    writes it, and overwrites row ``i`` of ``params``, so the broadcast is
+    that read and not a copy per row. The workers are split into
     slabs, contiguous index ranges (``slabs``, a :class:`ShardPlan` over
     worker indices), ``K`` of them: one with ``threaded=False``, else
     ``min(N, cores)``. The calling thread trains slab 0 and ``K - 1`` daemon
@@ -209,10 +221,11 @@ class Cluster:
     with one gradient row of ``grads``, stops at its first failure and
     reports only that worker and its error. The coordinator then averages
     the rows of ``params`` (``_synchronize``; the transport is the one
-    choice there) into its own buffer, filters, updates the shadows and
-    assigns the new global model to every row of ``params`` while the
-    workers wait at the barrier, so every slab count and both transports
-    produce bitwise-identical trajectories. The filter and shadows write
+    choice there) into its own buffer, filters and updates the shadows
+    while the workers wait at the barrier. Workers only read the global
+    model while they train and the coordinator writes it only after the
+    barrier, so every slab count and both transports produce
+    bitwise-identical trajectories. The filter and shadows write
     into the cluster's own pairs of arrays, so the returned ``sync_state``
     and ``shadow_state`` are views that the next block overwrites: copy what
     you keep.
@@ -278,11 +291,13 @@ class Cluster:
         ``(None, None)``, or the first failing worker and its error."""
         lo, hi = self.slabs.range_of(s)
         grad = self.grads[s]
+        start = self.sync_state.global_model.values
         with np.errstate(over="ignore", invalid="ignore"):
             for i in range(lo, hi):
                 try:
                     self.workers[i].run_local_block(
-                        self.spec, self.params[i], self.velocity[i], grad, self.config
+                        self.spec, start, self.params[i], self.velocity[i], grad,
+                        self.config,
                     )
                 except BaseException as exc:  # handed to the coordinator, which raises it
                     return i, exc
@@ -341,11 +356,12 @@ class Cluster:
         return f"{where}: {exc}", exc
 
     def run_block(self) -> SyncState:
-        """Train one block on every worker, synchronize, broadcast.
+        """Train one block on every worker and synchronize.
 
-        Returns the new sync state; afterwards every row of ``params`` holds
-        the freshly broadcast global model, and ``velocity`` persists unless
-        ``reset_momentum`` is set.
+        Returns the new sync state; afterwards row ``i`` of ``params`` holds
+        worker ``i``'s local model from the block just trained, the next
+        block starts every worker from ``sync_state.global_model``, and
+        ``velocity`` persists unless ``reset_momentum`` is set.
         """
         block_index = self.sync_state.block_index + 1
         worker, exc = self._train_workers()
@@ -359,9 +375,6 @@ class Cluster:
         except Exception as failure:
             message, cause = self._blame(failure, block_index, worker)
             raise TrainingError(message) from cause
-        # every worker is idle at the barrier, so the coordinator installs the
-        # broadcast itself
-        self.params[...] = self.sync_state.global_model.values
         if self.config.reset_momentum:
             self.velocity.fill(0.0)
         return self.sync_state

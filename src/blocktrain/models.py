@@ -319,7 +319,7 @@ def _mlp_backprop(
         # zeros (``0.0 + x``), which turns -0.0 into +0.0
         np.matmul(acts[idx].T, delta, out=gw)
         gw += 0.0
-        np.sum(delta, axis=0, out=gb)
+        np.add.reduce(delta, axis=0, out=gb)
         gb += 0.0
         if idx > 0:
             a = acts[idx]
@@ -429,7 +429,7 @@ def _lstm_backprop(
     for spans, h_top, caches in groups:
         d = np.concatenate([delta[lo:hi] for lo, hi in spans])
         gw_out += h_top.T @ d
-        gb_out += d.sum(axis=0)
+        gb_out += np.add.reduce(d, axis=0)
         dh = (d @ w_out.T).reshape(len(spans), -1, spec.hidden_dim)
         for idx in range(spec.num_layers - 1, -1, -1):
             gw, gb = gl[idx]

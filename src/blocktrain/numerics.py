@@ -95,8 +95,14 @@ def centered_mean(parts: Sequence[np.ndarray], out: np.ndarray, work: np.ndarray
     it nor ``out`` may overlap a part.
     """
     base = parts[0]
-    out.fill(0.0)
-    for part in parts[1:]:
+    if len(parts) == 1:
+        out.fill(0.0)
+    else:
+        # the first difference straight into ``out``: bitwise the sum from
+        # zeros, since ``0.0 + d`` differs from ``d`` only for d = -0.0, which
+        # needs base = +0.0, and the final ``+= base`` then gives +0.0 either way
+        np.subtract(parts[1], base, out=out)
+    for part in parts[2:]:
         np.subtract(part, base, out=work)
         out += work
     out /= len(parts)

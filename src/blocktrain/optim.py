@@ -19,20 +19,27 @@ def sgd_step(
     velocity: np.ndarray,
     learning_rate: float,
     momentum: float,
+    *,
+    start: np.ndarray | None = None,
 ) -> None:
     """One momentum step, in place on ``params`` and ``velocity``.
 
     ``velocity' = momentum * velocity - learning_rate * grad`` and
-    ``params' = params + velocity'``, evaluated in that operation order, so
-    the result is bitwise the out-of-place expression. ``grad`` is scratch:
-    it is scaled by the learning rate in place.
+    ``params' = start + velocity'``, evaluated in that operation order, so
+    the result is bitwise the out-of-place expression. ``start`` defaults to
+    ``params``; any other ``start`` is only read, and the step equals copying
+    it into ``params`` and then stepping, bit for bit, without the extra pass
+    over ``params``. ``grad`` is scratch: it is scaled by the learning rate
+    in place.
     """
-    if params.shape != grad.shape or params.shape != velocity.shape:
+    start = params if start is None else start
+    shape = params.shape
+    if grad.shape != shape or velocity.shape != shape or start.shape != shape:
         raise ValueError(
             f"shape mismatch: params {params.shape}, grad {grad.shape}, "
-            f"velocity {velocity.shape}"
+            f"velocity {velocity.shape}, start {start.shape}"
         )
     velocity *= momentum
     grad *= learning_rate
     velocity -= grad
-    params += velocity
+    np.add(start, velocity, out=params)

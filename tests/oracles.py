@@ -194,3 +194,18 @@ def sgd_reference(
         velocity = [momentum * v - lr * float(g) for v, g in zip(velocity, grad)]
         params = [p + v for p, v in zip(params, velocity)]
     return np.array(params)
+
+
+def centered_mean_reference(
+    parts: list[np.ndarray], out: np.ndarray, work: np.ndarray
+) -> None:
+    """The centered-mean kernel with its sum started from zeros, the bitwise
+    reference for the library's kernel, which starts from the first
+    difference instead."""
+    base = parts[0]
+    out.fill(0.0)
+    for part in parts[1:]:
+        np.subtract(part, base, out=work)
+        out += work
+    out /= len(parts)
+    out += base

@@ -230,10 +230,22 @@ def slab_mode(monkeypatch, cores):
 
 
 class TestCluster:
-    def test_broadcast_postcondition(self):
+    def test_next_block_starts_every_worker_from_the_global_model(self, monkeypatch):
+        # the broadcast: one block more than run_blocks trains starts every
+        # worker from run_blocks' final global model, byte for byte
+        starts = {}
+        train = WorkerState.run_local_block
+
+        def recording(self, spec, start, *args):
+            starts[self.index] = start.tobytes()
+            train(self, spec, start, *args)
+
+        monkeypatch.setattr(WorkerState, "run_local_block", recording)
         for threaded in (False, True):
-            _, worker_models, final_global = run_blocks(threaded, "centralized")
-            assert all(m == final_global for m in worker_models)
+            _, _, final_global = run_blocks(threaded, "centralized")
+            trajectory, _, _ = run_blocks(threaded, "centralized", blocks=5)
+            assert trajectory[-2] == final_global
+            assert starts == dict.fromkeys(range(3), final_global)
 
     def test_threaded_matches_serial_bitwise(self, monkeypatch):
         # one slab, uneven slabs and one worker per slab train the same bits
@@ -253,10 +265,10 @@ class TestCluster:
         threads = {}
         train = WorkerState.run_local_block
 
-        def recording(self, spec, params, velocity, grad, config):
+        def recording(self, spec, start, params, velocity, grad, config):
             grads[self.index] = grad
             threads[self.index] = threading.get_ident()
-            train(self, spec, params, velocity, grad, config)
+            train(self, spec, start, params, velocity, grad, config)
 
         monkeypatch.setattr(WorkerState, "run_local_block", recording)
         pin_cores(monkeypatch, cores)
@@ -398,14 +410,15 @@ class TestCluster:
     @pytest.mark.parametrize("transport", ["centralized", "decentralized"])
     def test_barrier_no_worker_starts_next_block_early(self, transport, monkeypatch):
         # every worker must start block b from the global model after block
-        # b - 1; one that started early would still hold its own local model
+        # b - 1; one that started early would read the previous block's
+        # global model, or one the coordinator is still writing
         pin_cores(monkeypatch, 4)
         starts: dict = {}
         train = WorkerState.run_local_block
 
-        def recording(self, spec, params, velocity, grad, config):
-            starts.setdefault(self.index, []).append(params.tobytes())
-            train(self, spec, params, velocity, grad, config)
+        def recording(self, spec, start, *args):
+            starts.setdefault(self.index, []).append(start.tobytes())
+            train(self, spec, start, *args)
 
         monkeypatch.setattr(WorkerState, "run_local_block", recording)
         theta0 = tiny_setup(4, transport)[2].global_model.values.tobytes()
@@ -456,13 +469,13 @@ class TestCluster:
         threaded = slab_mode(monkeypatch, cores)
         train = WorkerState.run_local_block
 
-        def failing(self, spec, params, velocity, grad, config):
+        def failing(self, *args):
             if self.index == 1:
                 time.sleep(0.2)
                 raise FloatingPointError("slow failure")
             if self.index == 2:
                 raise KeyError("fast failure")
-            train(self, spec, params, velocity, grad, config)
+            train(self, *args)
 
         monkeypatch.setattr(WorkerState, "run_local_block", failing)
         spec, workers, sync, shadow, config = tiny_setup(4, "decentralized")
@@ -486,14 +499,14 @@ class TestCluster:
         train = WorkerState.run_local_block
         helper_replied = threading.Event()
 
-        def failing(self, spec, params, velocity, grad, config):
+        def failing(self, *args):
             if self.index == 1:
                 raise RuntimeError("fast failure")
             if self.index == 3:
                 time.sleep(0.2)
                 helper_replied.set()
                 raise KeyError("slow failure")
-            train(self, spec, params, velocity, grad, config)
+            train(self, *args)
 
         monkeypatch.setattr(WorkerState, "run_local_block", failing)
         spec, workers, sync, shadow, config = tiny_setup(4, "decentralized")
@@ -537,10 +550,10 @@ class TestCluster:
         cause = make_cause()
         shown = str(cause)
 
-        def failing(self, spec, params, velocity, grad, config):
+        def failing(self, *args):
             if self.index == 1:
                 raise cause
-            train(self, spec, params, velocity, grad, config)
+            train(self, *args)
 
         monkeypatch.setattr(WorkerState, "run_local_block", failing)
         spec, workers, sync, shadow, config = tiny_setup(4, transport)
@@ -567,10 +580,10 @@ class TestCluster:
         helper_replied = threading.Event()
         interrupt = KeyboardInterrupt()
 
-        def failing(self, spec, params, velocity, grad, config):
+        def failing(self, *args):
             if self.index == 1:
                 raise interrupt
-            train(self, spec, params, velocity, grad, config)
+            train(self, *args)
             if self.index == 3:
                 time.sleep(0.2)
                 helper_replied.set()
@@ -635,10 +648,10 @@ class TestCluster:
         threaded = slab_mode(monkeypatch, cores)
         train = WorkerState.run_local_block
 
-        def failing(self, spec, params, velocity, grad, config):
+        def failing(self, spec, start, params, *args):
             if self.index == crashed:
                 raise RuntimeError("crash")
-            train(self, spec, params, velocity, grad, config)
+            train(self, spec, start, params, *args)
             if self.index == diverged:
                 params[0] = np.inf
 
@@ -665,7 +678,7 @@ class TestCluster:
     def test_aggregate_overflow_names_the_block(self, threaded, transport, monkeypatch):
         # two finite local models whose centered mean overflows: no worker
         # diverged, so the failure is the coordinator's
-        def extreme(self, spec, params, velocity, grad, config):
+        def extreme(self, spec, start, params, *args):
             params[...] = 1.7e308 if self.index else -1.7e308
 
         monkeypatch.setattr(WorkerState, "run_local_block", extreme)

@@ -1,12 +1,26 @@
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from blocktrain.numerics import ParamVector, make_rng, mean_reduce, substream
+from blocktrain.numerics import (
+    ParamVector,
+    centered_mean,
+    make_rng,
+    mean_reduce,
+    substream,
+)
+
+from .oracles import centered_mean_reference
 
 finite_floats = st.floats(min_value=-1e6, max_value=1e6, allow_nan=False)
+# signed zeros, subnormals, infinities and NaN, drawn often enough to meet
+# each other in one element
+edge_floats = st.one_of(
+    st.sampled_from([0.0, -0.0, 5e-324, -5e-324, -2.5e-310, np.inf, -np.inf, np.nan]),
+    st.floats(),
+)
 
 
 def vectors(length: int):
@@ -78,6 +92,31 @@ class TestMeanReduce:
         models.pop()
         after = mean_reduce(models)
         assert before.values.tobytes() == after.values.tobytes()
+
+
+class TestCenteredMean:
+    @given(
+        rows=st.integers(min_value=1, max_value=9).flatmap(
+            lambda n: arrays(
+                np.float64,
+                st.tuples(st.just(n), st.integers(min_value=1, max_value=8)),
+                elements=edge_floats,
+            )
+        )
+    )
+    @example(rows=np.array([[0.0, 0.0], [-0.0, -0.0], [-0.0, 1.0]]))
+    @example(rows=np.array([[-0.0], [-0.0]]))
+    @settings(max_examples=400, deadline=None)
+    def test_first_difference_start_matches_zero_start_bytewise(self, rows):
+        # starting the sum from the first difference instead of from zeros
+        # keeps every byte, -0.0 and NaN payloads included
+        length = rows.shape[1]
+        want = np.full(length, 7.0)
+        got = np.full(length, np.nan)
+        with np.errstate(all="ignore"):
+            centered_mean_reference(list(rows), want, np.full(length, 3.0))
+            centered_mean(list(rows), got, np.full(length, np.nan))
+        assert got.tobytes() == want.tobytes()
 
 
 class TestRng:

@@ -10,6 +10,11 @@ from blocktrain.optim import sgd_step
 from .oracles import sgd_reference
 
 finite = st.floats(min_value=-100, max_value=100, allow_nan=False)
+# signed zeros and subnormals, drawn often enough to meet each other
+edge_finite = st.one_of(
+    st.sampled_from([0.0, -0.0, 5e-324, -5e-324, -2.5e-310, 2.2e-308]),
+    st.floats(allow_nan=False, allow_infinity=False),
+)
 
 
 def arr(*values):
@@ -34,6 +39,9 @@ class TestValidation:
     def test_length_mismatch(self):
         with pytest.raises(ValueError, match="shape mismatch"):
             sgd_step(arr(1.0, 2.0), arr(1.0), np.zeros(2), 0.1, 0.0)
+        # a start model of the wrong shape would otherwise broadcast
+        with pytest.raises(ValueError, match="shape mismatch"):
+            sgd_step(arr(1.0, 2.0), arr(1.0, 2.0), np.zeros(2), 0.1, 0.0, start=arr(1.0))
 
 
 class TestStep:
@@ -72,6 +80,31 @@ class TestStep:
         sgd_step(params, grad, velocity, lr, momentum)
         assert params.tobytes() == want_p.tobytes()
         assert velocity.tobytes() == want_v.tobytes()
+
+    @given(
+        data=st.integers(min_value=1, max_value=12).flatmap(
+            lambda length: arrays(np.float64, (4, length), elements=edge_finite)
+        ),
+        lr=st.floats(min_value=1e-3, max_value=2.0),
+        momentum=st.sampled_from([0.0, 0.5, 0.9]) | st.floats(0.0, 0.99),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_start_equals_copy_then_step_bitwise(self, data, lr, momentum):
+        # stepping from ``start`` writes the bits of copying it into params
+        # and stepping in place, and never writes ``start``
+        p, s, v, g = data
+        params, grad, velocity = p.copy(), g.copy(), v.copy()
+        params[...] = s
+        with np.errstate(all="ignore"):
+            sgd_step(params, grad, velocity, lr, momentum)
+        got_params, got_grad, got_velocity, start = p.copy(), g.copy(), v.copy(), s.copy()
+        start.flags.writeable = False
+        with np.errstate(all="ignore"):
+            sgd_step(got_params, got_grad, got_velocity, lr, momentum, start=start)
+        assert got_params.tobytes() == params.tobytes()
+        assert got_velocity.tobytes() == velocity.tobytes()
+        assert got_grad.tobytes() == grad.tobytes()
+        assert start.tobytes() == s.tobytes()
 
     @given(
         seed=st.integers(0, 2**32 - 1),
