@@ -143,6 +143,19 @@ def decentralized_aggregate(
     return ParamVector(frozen(out.view()))
 
 
+def _aligned_rows(rows: int, length: int) -> np.ndarray:
+    """An uninitialised ``(rows, length)`` float64 array whose rows are each
+    C-contiguous and start on a 64-byte (cache-line) boundary. A plain
+    ``np.empty`` of this size commonly lands 16 bytes past one, and then
+    every 64-byte vector access of numpy's elementwise loops spans two
+    cache lines. The row stride is rounded up to whole cache lines, so
+    every row stays aligned whatever ``length`` is."""
+    stride = -(-length // 8) * 8
+    raw = np.empty(rows * stride + 7)
+    skip = -raw.ctypes.data % 64 // 8
+    return raw[skip : skip + rows * stride].reshape(rows, stride)[:, :length]
+
+
 def _cores() -> int:
     """The cores this process may run on: threaded mode's most slabs, the
     calling thread's included."""
@@ -206,29 +219,30 @@ class WorkerState:
 class Cluster:
     """Coordinator plus N workers; one ``run_block`` call per sync block.
 
-    The cluster owns every array a block writes. Worker state is two
-    ``(N, P)`` arrays, ``params`` (every row starts as the initial global
-    model) and ``velocity`` (zeros); ``workers[i]`` must have index ``i``
-    and trains on row ``i`` of each. Each block starts every worker from
-    ``sync_state.global_model``: the first local step reads it, never
-    writes it, and overwrites row ``i`` of ``params``, so the broadcast is
-    that read and not a copy per row. The workers are split into
-    slabs, contiguous index ranges (``slabs``, a :class:`ShardPlan` over
-    worker indices), ``K`` of them: one with ``threaded=False``, else
-    ``min(N, cores)``. The calling thread trains slab 0 and ``K - 1`` daemon
-    helper threads take slabs 1 to ``K - 1`` from one task queue, so serial
-    mode is ``K = 1``, no helper. A slab trains its workers in index order
-    with one gradient row of ``grads``, stops at its first failure and
-    reports only that worker and its error. The coordinator then averages
-    the rows of ``params`` (``_synchronize``; the transport is the one
-    choice there) into its own buffer, filters and updates the shadows
-    while the workers wait at the barrier. Workers only read the global
-    model while they train and the coordinator writes it only after the
-    barrier, so every slab count and both transports produce
-    bitwise-identical trajectories. The filter and shadows write
-    into the cluster's own pairs of arrays, so the returned ``sync_state``
-    and ``shadow_state`` are views that the next block overwrites: copy what
-    you keep.
+    The cluster owns every array a block writes, and each row of each one
+    starts on a 64-byte boundary; placement moves no bit. Worker state is
+    two ``(N, P)`` arrays, ``params`` (a row holds nothing until its
+    worker's first local step writes it) and ``velocity`` (zeros);
+    ``workers[i]`` must have index ``i`` and trains on row ``i`` of each.
+    Each block starts every worker from ``sync_state.global_model``: the
+    first local step reads it, never writes it, and overwrites row ``i`` of
+    ``params``, so the broadcast is that read and not a copy per row. The
+    workers are split into slabs, contiguous index ranges (``slabs``, a
+    :class:`ShardPlan` over worker indices), ``K`` of them: one with
+    ``threaded=False``, else ``min(N, cores)``. The calling thread trains
+    slab 0 and ``K - 1`` daemon helper threads take slabs 1 to ``K - 1``
+    from one task queue, so serial mode is ``K = 1``, no helper. A slab
+    trains its workers in index order with one gradient row of ``grads``,
+    stops at its first failure and reports only that worker and its error.
+    The coordinator then averages the rows of ``params`` (``_synchronize``;
+    the transport is the one choice there) into its own buffer, filters and
+    updates the shadows while the workers wait at the barrier. Workers only
+    read the global model while they train and the coordinator writes it
+    only after the barrier, so every slab count and both transports produce
+    bitwise-identical trajectories. The filter and shadows write into the
+    cluster's own pairs of arrays, so the returned ``sync_state`` and
+    ``shadow_state`` are views that the next block overwrites: copy what you
+    keep.
 
     Finiteness is checked once per block, on the average: NaN and inf stay
     non-finite under the local steps and the mean, so a worker that diverged
@@ -266,15 +280,17 @@ class Cluster:
         length = len(sync_state.global_model)
         self.plan = make_shard_plan(length, n)
         self.slabs = make_shard_plan(n, min(n, _cores()) if threaded else 1)
-        self.params = np.tile(sync_state.global_model.values, (n, 1))
-        self.velocity = np.zeros_like(self.params)
-        self.grads = np.empty((self.slabs.num_shards, length))
+        # each row of params is first written by its worker's first step
+        self.params = _aligned_rows(n, length)
+        self.velocity = _aligned_rows(n, length)
+        self.velocity.fill(0.0)
+        self.grads = _aligned_rows(self.slabs.num_shards, length)
         # the coordinator's arrays: the average, the filter's (global, delta),
         # the shadows' (MA, EMA) and scratch
-        self._mean = np.empty(length)
-        self._sync_out = np.empty((2, length))
-        self._shadow_out = np.empty((2, length))
-        self._work = np.empty((2, length))
+        self._mean = _aligned_rows(1, length)[0]
+        self._sync_out = _aligned_rows(2, length)
+        self._shadow_out = _aligned_rows(2, length)
+        self._work = _aligned_rows(2, length)
         self._tasks: queue.Queue = queue.Queue()
         self._results: queue.Queue = queue.Queue()
         self._threads = [

@@ -303,9 +303,10 @@ class TestCluster:
         assert a == b
 
     def test_broadcast_reaches_threads_under_fast_switching(self, monkeypatch):
-        # the coordinator writes each worker's model between blocks and a
-        # helper thread reads it in the next one; a worker that trained on a
-        # stale model would change the trajectory
+        # the coordinator writes only the global model, after the barrier,
+        # and every worker reads it in its first local step of the next
+        # block; a worker that trained on a stale model would change the
+        # trajectory
         pin_cores(monkeypatch, 3)
         serial = run_blocks(False, "decentralized", blocks=6, n_workers=6)
         interval = sys.getswitchinterval()
@@ -384,6 +385,58 @@ class TestCluster:
                         for b in buffers[i + 1 :]:
                             assert not np.shares_memory(a, b)
                     cluster.run_block()
+
+    @pytest.mark.parametrize("threaded", [True, False], ids=["threaded", "serial"])
+    def test_params_need_no_initial_fill(self, threaded, monkeypatch):
+        # each row of params is written by its worker's first local step
+        # before anything reads it, so NaN left there from construction
+        # changes no byte; a worker that fails before writing its row is
+        # still named, since only rows that trained are scanned
+        def run(poison):
+            spec, workers, sync, shadow, config = tiny_setup(3, "decentralized")
+            with Cluster(spec, workers, sync, shadow, config, threaded=threaded) as c:
+                if poison:
+                    c.params.fill(np.nan)
+                trajectory = [c.run_block().global_model.values.tobytes() for _ in range(3)]
+                return trajectory, [row.tobytes() for row in c.params]
+
+        assert run(poison=True) == run(poison=False)
+        train = WorkerState.run_local_block
+
+        def failing(self, *args):
+            if self.index == 0:
+                raise RuntimeError("crash")
+            train(self, *args)
+
+        monkeypatch.setattr(WorkerState, "run_local_block", failing)
+        with pytest.raises(TrainingError) as failure:
+            bounded(lambda: run(poison=True), timeout=30)
+        assert str(failure.value) == "block 1, worker 0: crash"
+        assert type(failure.value.__cause__) is RuntimeError
+
+    @pytest.mark.parametrize("cores", [1, 3], ids=["one-slab", "three-slabs"])
+    def test_every_row_starts_on_a_cache_line(self, cores, monkeypatch):
+        # P = 27 is not a multiple of 8 floats, so rows stay aligned only
+        # if the row stride is padded to whole 64-byte lines
+        pin_cores(monkeypatch, cores)
+        spec = MlpSpec((4, 3, 3))
+        assert param_count(spec) == 27
+        spec, workers, sync, shadow, config = tiny_setup(3, "centralized", spec=spec)
+        with Cluster(spec, workers, sync, shadow, config, threaded=True) as cluster:
+            assert cluster.grads.shape == (cores, 27)
+            rows = [
+                *cluster.params, *cluster.velocity, *cluster.grads, cluster._mean,
+                *cluster._sync_out, *cluster._shadow_out, *cluster._work,
+            ]
+            for i, a in enumerate(rows):
+                assert a.shape == (27,)
+                assert a.ctypes.data % 64 == 0
+                assert a.flags.c_contiguous
+                for b in rows[i + 1 :]:
+                    assert not np.shares_memory(a, b)
+            # the model every worker's first step of the next block reads
+            cluster.run_block()
+            assert cluster.sync_state.global_model.values.ctypes.data % 64 == 0
 
     @pytest.mark.parametrize("threaded", [True, False], ids=["threaded", "serial"])
     @pytest.mark.parametrize(

@@ -4,13 +4,18 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+from blocktrain.cluster import decentralized_aggregate, make_shard_plan
+from blocktrain.models import Batch, MlpSpec, backward, param_count
 from blocktrain.numerics import (
     ParamVector,
     centered_mean,
+    frozen,
     make_rng,
     mean_reduce,
     substream,
 )
+from blocktrain.optim import sgd_step
+from blocktrain.sync import ShadowState, SyncState, bmuf_apply, shadow_update
 
 from .oracles import centered_mean_reference
 
@@ -117,6 +122,77 @@ class TestCenteredMean:
             centered_mean_reference(list(rows), want, np.full(length, 3.0))
             centered_mean(list(rows), got, np.full(length, np.nan))
         assert got.tobytes() == want.tobytes()
+
+
+def placed(values: np.ndarray, offset: int) -> np.ndarray:
+    """A copy of the 1-D or 2-D ``values`` in which every row starts
+    ``offset`` bytes past a 64-byte boundary."""
+    rows = values.reshape(-1, values.shape[-1])
+    length = rows.shape[1]
+    stride = -(-length // 8) * 8
+    raw = np.empty(len(rows) * stride + 7)
+    skip = (offset - raw.ctypes.data) % 64 // 8
+    out = raw[skip : skip + len(rows) * stride].reshape(len(rows), stride)[:, :length]
+    out[...] = rows
+    assert all(row.ctypes.data % 64 == offset for row in out)
+    return out if values.ndim == 2 else out[0]
+
+
+class TestPlacement:
+    @given(
+        length=st.integers(min_value=1, max_value=200),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @example(length=31, seed=0)
+    @example(length=8, seed=1)
+    @settings(max_examples=60, deadline=None)
+    def test_changes_no_bit(self, length, seed):
+        # the cluster starts every row of its buffers on a 64-byte boundary
+        # for speed; each kernel it runs must give the same bytes there as
+        # on buffers 8 bytes off
+        rng = np.random.default_rng(seed)
+        rows = rng.normal(size=(3, length))
+        velocity, grad, start = rng.normal(size=(3, length))
+        model, accumulator = rng.normal(size=(2, length))
+        spec = MlpSpec((3, 1 + length % 16, 2))
+        theta = rng.normal(size=param_count(spec))
+        batch = Batch(rng.normal(size=(5, 3)), rng.integers(2, size=5))
+
+        def kernels(offset):
+            out = []
+            for first in (None, placed(start, offset)):
+                p, g, v = (placed(x, offset) for x in (rows[0], grad, velocity))
+                sgd_step(p, g, v, 0.1, 0.7, start=first)
+                out += [p.tobytes(), v.tobytes()]
+
+            def sharded(vs, **kw):
+                return decentralized_aggregate(vs, make_shard_plan(length, 3), **kw)
+
+            for aggregate in (mean_reduce, sharded):
+                mean = placed(np.zeros(length), offset)
+                work = placed(np.zeros((2, length)), offset)
+                got = aggregate(placed(rows, offset), out=mean, work=work)
+                out.append(got.values.tobytes())
+
+            # the filter and both shadow branches, each writing into the
+            # state's own pair as the cluster does
+            def views(pair):
+                return [ParamVector(frozen(row)) for row in pair]
+
+            pair = placed(np.stack([model, accumulator]), offset)
+            state = SyncState(*views(pair), 0.9, 1.2)
+            shadows = placed(np.stack([model, model]), offset)
+            shadow = ShadowState(*views(shadows), 0.9)
+            for row in rows[:2]:
+                theta_bar = ParamVector(frozen(placed(row, offset)))
+                state = bmuf_apply(state, theta_bar, out=pair, work=work)
+                shadow = shadow_update(shadow, state.global_model, out=shadows, work=work)
+            out += [pair.tobytes(), shadows.tobytes()]
+            gradient = placed(np.zeros(len(theta)), offset)
+            loss, _ = backward(spec, placed(theta, offset), batch, out=gradient)
+            return out + [loss, gradient.tobytes()]
+
+        assert kernels(0) == kernels(8)
 
 
 class TestRng:
