@@ -93,11 +93,14 @@ def run_study(configs, seeds):
                 failed += 1
                 print(f"{seed:<4d}  error: {exc}")
                 continue
+            # the test curve is evaluated on first read: read it inside the
+            # clock, so secs times the whole run
+            records = result.test_records
             elapsed = time.perf_counter() - start
             final = result.final_test_fer
-            spread_ma = curve_spread(result.test_records, "ma")
-            spread_ema = curve_spread(result.test_records, "ema")
-            beats, steadier = shadow_verdicts(final, result.test_records)
+            spread_ma = curve_spread(records, "ma")
+            spread_ema = curve_spread(records, "ema")
+            beats, steadier = shadow_verdicts(final, records)
             ema_beats_bmuf += beats
             ema_steadier += steadier
             print(

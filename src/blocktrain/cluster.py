@@ -244,18 +244,20 @@ class Cluster:
     ``shadow_state`` are views that the next block overwrites: copy what you
     keep.
 
-    Finiteness is checked once per block, on the average: NaN and inf stay
-    non-finite under the local steps and the mean, so a worker that diverged
-    anywhere in the block fails it. Only then are the rows scanned, to name
-    the lowest diverged worker. ``run_block`` raises a failure as a
-    :class:`TrainingError` whose message names the block, and the worker too
-    when local training failed or diverged (the lowest index of either kind,
-    since a slab's first failure is its lowest and every row below the lowest
-    failing worker trained), and whose ``__cause__`` is the original error;
-    an interrupt leaves as itself, once every helper has replied. numpy's
-    overflow warnings are silenced on every thread that trains or syncs,
-    since the check reports the divergence. The cluster is then only fit to
-    be closed.
+    The worker rows are checked for finiteness once per block, through the
+    average: NaN and inf stay non-finite under the local steps and the mean,
+    so a worker that diverged anywhere in the block fails it. Only then are
+    the rows scanned, to name the lowest diverged worker. The filter's and
+    the shadows' outputs (global model, step, MA, EMA) are checked as they
+    are built, so a block validates five parameter vectors in all.
+    ``run_block`` raises a failure as a :class:`TrainingError` whose message
+    names the block, and the worker too when local training failed or
+    diverged (the lowest index of either kind, since a slab's first failure
+    is its lowest and every row below the lowest failing worker trained),
+    and whose ``__cause__`` is the original error; an interrupt leaves as
+    itself, once every helper has replied. numpy's overflow warnings are
+    silenced on every thread that trains or syncs, since the check reports
+    the divergence. The cluster is then only fit to be closed.
     """
 
     def __init__(

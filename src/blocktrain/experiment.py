@@ -15,6 +15,7 @@ from __future__ import annotations
 import math
 import numbers
 from dataclasses import dataclass, fields, replace
+from functools import cached_property
 from pathlib import Path
 
 import numpy as np
@@ -277,17 +278,30 @@ def parse_value(key: str, rendered: str) -> object:
 
 @dataclass
 class ExperimentResult:
-    """Everything a finished run produced, still in memory."""
+    """Everything a finished run produced, still in memory.
+
+    The run computes ``val_records`` and ``final_test_fer``, the only test
+    results its artifacts read. ``test_records``, the test FER of every
+    checkpoint, is computed from ``checkpoints`` and ``test_set`` on first
+    read and kept. Each FER depends only on its checkpoint and the read-only
+    ``test_set``, so the records are the same whenever they are computed.
+    """
 
     config: ExperimentConfig
     checkpoints: list[Checkpoint]
     val_records: list[EvalRecord]
-    test_records: list[EvalRecord]
+    test_set: Batch
     final_test_fer: dict[str, float]
     blocks_per_epoch: int
     trajectory: list[ParamVector] | None = None
     sync_state: SyncState | None = None
     shadow_state: ShadowState | None = None
+
+    @cached_property
+    def test_records(self) -> list[EvalRecord]:
+        return evaluate_checkpoints(
+            self.checkpoints, self.test_set, self.config.model_spec()
+        )
 
 
 def _concat_batch(corpus: Corpus, k: int) -> Batch:
@@ -312,7 +326,10 @@ def run_experiment(
     One epoch is ``ceil(largest shard size / block_size)`` blocks; four
     checkpoints are taken per epoch, at the blocks closest to the quarter
     boundaries, and the last block of the final epoch is always a checkpoint,
-    so the final models are the last checkpoint's models.
+    so the final models are the last checkpoint's models. Every checkpoint
+    is evaluated on the validation set; the test set is evaluated only at
+    the last checkpoint, for ``final_test_fer``. The per-checkpoint test
+    curve, ``result.test_records``, is computed when first read.
     """
     rng_corpus = substream(config.seed, TAG_CORPUS)
     corpus = generate_corpus(
@@ -404,14 +421,16 @@ def run_experiment(
     val_batch = _concat_batch(val, config.stack)
     test_batch = _concat_batch(test, config.stack)
     val_records = evaluate_checkpoints(checkpoints, val_batch, spec)
-    test_records = evaluate_checkpoints(checkpoints, test_batch, spec)
     strategies_per_cp = 3 if shadows_enabled else 1
-    final_test = {r.strategy: r.fer for r in test_records[-strategies_per_cp:]}
+    final_records = evaluate_checkpoints(
+        checkpoints[-strategies_per_cp:], test_batch, spec
+    )
+    final_test = {r.strategy: r.fer for r in final_records}
     return ExperimentResult(
         config=config,
         checkpoints=checkpoints,
         val_records=val_records,
-        test_records=test_records,
+        test_set=test_batch,
         final_test_fer=final_test,
         blocks_per_epoch=blocks_per_epoch,
         trajectory=trajectory,

@@ -133,8 +133,8 @@ def mean_reduce(
     ``vs`` is a sequence of ParamVectors or the rows of an ``(N, P)`` array.
     The mean is written into ``out`` (length P) and returned as a read-only
     view of it; ``work`` is ``(2, P)`` scratch. Both are fresh arrays when
-    omitted. Validating the result is the one finiteness check: a
-    non-finite row always makes the mean non-finite.
+    omitted. Validating the result checks every row for finiteness at
+    once: a non-finite row always makes the mean non-finite.
     """
     rows = as_rows(vs)
     length = rows[0].shape[0]

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from blocktrain import experiment
+from blocktrain import experiment, metrics
 from blocktrain.cli import main
 from blocktrain.cluster import Cluster, WorkerState
 from blocktrain.data import generate_corpus, stack_frames
@@ -20,7 +20,7 @@ from blocktrain.experiment import (
     run_experiment,
     write_run_artifacts,
 )
-from blocktrain.metrics import shadow_verdicts
+from blocktrain.metrics import evaluate_checkpoints, shadow_verdicts
 from blocktrain.models import init_params
 from blocktrain.numerics import substream
 from blocktrain.sync import ShadowState, shadow_update
@@ -202,6 +202,37 @@ class TestRunExperiment:
         result = run_experiment(TINY, threaded=False, shadows_enabled=False)
         assert {r.strategy for r in result.val_records} == {"bmuf"}
         assert set(result.final_test_fer) == {"bmuf"}
+
+    @pytest.mark.parametrize("shadows_enabled", [True, False])
+    def test_test_curve_is_evaluated_on_first_read(
+        self, tmp_path, monkeypatch, shadows_enabled
+    ):
+        # a run and its artifacts predict the test set at the last
+        # checkpoint only; the per-checkpoint test curve costs one
+        # prediction per checkpoint on its first read and none after
+        predict = metrics.predict_frames
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(None)
+            return predict(*args, **kwargs)
+
+        monkeypatch.setattr(metrics, "predict_frames", counted)
+        result = run_experiment(TINY, threaded=False, shadows_enabled=shadows_enabled)
+        write_run_artifacts(result, tmp_path)
+        k = 3 if shadows_enabled else 1
+        assert len(calls) == len(result.val_records) + k
+        records = result.test_records
+        assert len(calls) == len(result.val_records) + k + len(result.checkpoints)
+        assert result.test_records is records
+        assert len(calls) == len(result.val_records) + k + len(result.checkpoints)
+        monkeypatch.undo()
+        want = evaluate_checkpoints(result.checkpoints, result.test_set, TINY.model_spec())
+        assert records == want
+        final = list(result.final_test_fer.items())
+        assert [(r.strategy, r.fer.hex()) for r in records[-k:]] == [
+            (strategy, fer.hex()) for strategy, fer in final
+        ]
 
     def test_trajectory_recording(self):
         result = run_experiment(TINY, threaded=False, record_trajectory=True)
