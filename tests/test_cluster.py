@@ -1,6 +1,6 @@
+import copy
 import sys
 import threading
-import time
 import tracemalloc
 from dataclasses import replace
 
@@ -19,10 +19,12 @@ from blocktrain.cluster import (
     decentralized_aggregate,
     make_shard_plan,
 )
-from blocktrain.models import Batch, LstmSpec, MlpSpec, init_params, param_count
+from blocktrain.models import Batch, LstmSpec, MlpSpec, backward, init_params, param_count
 from blocktrain.numerics import ParamVector, make_rng, mean_reduce, substream
 from blocktrain.optim import sgd_step
 from blocktrain.sync import ShadowState, SyncState
+
+from .faults import inject_faults
 
 
 def pv(values):
@@ -146,8 +148,9 @@ class TestClusterConfig:
             ClusterConfig(0.1, transport="ring")
 
 
-# worker 1's failures: a target class beyond the 2 outputs, and a velocity
-# near the float maximum that carries the worker's parameters past it
+# failures a worker meets in its data: a target class beyond the 2 outputs,
+# and a velocity near the float maximum that carries the worker's parameters
+# past it
 CRASH = (Batch(np.zeros((2, 4)), np.array([0, 7])), 0.0, "out of range")
 DIVERGE = (Batch(np.zeros((2, 4)), np.array([0, 1])), 1.5e308, "non-finite")
 
@@ -215,6 +218,53 @@ def run_blocks(threaded, transport, blocks=4, n_workers=3, **kw):
     return trajectory, worker_models, final_global
 
 
+def run_replayed_block(cluster):
+    """Run one block, and check that every worker's row equals bare
+    ``backward`` / ``sgd_step`` calls from the global model the block started
+    with, on copies of the worker's stream and velocity: equal bytes mean the
+    worker started from that model. Returns that model's bytes."""
+    start = cluster.sync_state.global_model.values.copy()
+    velocity = cluster.velocity.copy()
+    streams = copy.deepcopy(cluster.workers)
+    config = cluster.config
+    cluster.run_block()
+    for i, stream in enumerate(streams):
+        params = start.copy()
+        for _ in range(config.block_size):
+            _, grad = backward(cluster.spec, params, stream.next_batch())
+            sgd_step(params, grad, velocity[i], config.learning_rate, config.momentum)
+        assert cluster.params[i].tobytes() == params.tobytes(), f"worker {i}"
+    return start.tobytes()
+
+
+def block_failure(setup, threaded, velocity=None):
+    """The ``TrainingError`` that block 1 of a cluster built from ``setup``
+    (``tiny_setup``'s tuple) raises, run under ``bounded``; ``velocity`` maps
+    a worker index to the value its velocity row starts at."""
+
+    def body():
+        with Cluster(*setup, threaded=threaded) as cluster:
+            for i, value in (velocity or {}).items():
+                cluster.velocity[i] = value
+            cluster.run_block()
+
+    with pytest.raises(TrainingError) as failure:
+        bounded(body, timeout=30)
+    return failure.value
+
+
+def diverging(setup, indices):
+    """``setup`` with ``DIVERGE``'s batch as the only batch of each worker in
+    ``indices`` and momentum 0.9, which lets ``DIVERGE``'s velocity overflow
+    within the block."""
+    spec, workers, sync, shadow, config = setup
+    workers = [
+        WorkerState(i, (DIVERGE[0],), make_rng(i)) if i in indices else w
+        for i, w in enumerate(workers)
+    ]
+    return spec, workers, sync, shadow, replace(config, momentum=0.9)
+
+
 # four workers in two slabs (workers 0-1 on the calling thread, 2-3 on a
 # helper thread), in one slab on a one-core host, and serially
 SLAB_MODES = pytest.mark.parametrize(
@@ -230,22 +280,16 @@ def slab_mode(monkeypatch, cores):
 
 
 class TestCluster:
-    def test_next_block_starts_every_worker_from_the_global_model(self, monkeypatch):
-        # the broadcast: one block more than run_blocks trains starts every
-        # worker from run_blocks' final global model, byte for byte
-        starts = {}
-        train = WorkerState.run_local_block
-
-        def recording(self, spec, start, *args):
-            starts[self.index] = start.tobytes()
-            train(self, spec, start, *args)
-
-        monkeypatch.setattr(WorkerState, "run_local_block", recording)
+    def test_next_block_starts_every_worker_from_the_global_model(self):
+        # the broadcast: every block starts every worker from the global
+        # model the block before ended with, byte for byte, so the fifth
+        # block starts from run_blocks' final global model
         for threaded in (False, True):
             _, _, final_global = run_blocks(threaded, "centralized")
-            trajectory, _, _ = run_blocks(threaded, "centralized", blocks=5)
-            assert trajectory[-2] == final_global
-            assert starts == dict.fromkeys(range(3), final_global)
+            setup = tiny_setup(3, "centralized")
+            with Cluster(*setup, threaded=threaded) as cluster:
+                starts = [run_replayed_block(cluster) for _ in range(5)]
+            assert starts[-1] == final_global
 
     def test_threaded_matches_serial_bitwise(self, monkeypatch):
         # one slab, uneven slabs and one worker per slab train the same bits
@@ -261,16 +305,14 @@ class TestCluster:
     def test_one_thread_per_slab_at_most_one_per_core(self, cores, monkeypatch):
         # each slab trains its workers with its own gradient row; slab 0
         # trains on the calling thread, every other slab on a helper thread
-        grads = {}
         threads = {}
-        train = WorkerState.run_local_block
+        draw = WorkerState.next_batch
 
-        def recording(self, spec, start, params, velocity, grad, config):
-            grads[self.index] = grad
-            threads[self.index] = threading.get_ident()
-            train(self, spec, start, params, velocity, grad, config)
+        def recording(self):
+            threads.setdefault(self.index, set()).add(threading.get_ident())
+            return draw(self)
 
-        monkeypatch.setattr(WorkerState, "run_local_block", recording)
+        monkeypatch.setattr(WorkerState, "next_batch", recording)
         pin_cores(monkeypatch, cores)
         caller = threading.get_ident()
         spec, workers, sync, shadow, config = tiny_setup(5, "centralized")
@@ -279,17 +321,20 @@ class TestCluster:
             assert live_helpers() == set(cluster._threads)
             assert cluster.slabs == make_shard_plan(5, min(5, cores))
             assert cluster.grads.shape == (min(5, cores), cluster.params.shape[1])
+            cluster.grads.fill(np.nan)
             cluster.run_block()
-            for s, row in enumerate(cluster.grads):
+            # every slab wrote a gradient row of its own
+            assert np.isfinite(cluster.grads).all()
+            for s in range(cluster.slabs.num_shards):
                 for i in range(*cluster.slabs.range_of(s)):
-                    assert np.shares_memory(grads[i], row)
-                    assert (threads[i] == caller) == (s == 0), (s, i)
+                    (thread,) = threads[i]
+                    assert (thread == caller) == (s == 0), (s, i)
         threads.clear()
         with Cluster(spec, workers, sync, shadow, config, threaded=False) as cluster:
             assert cluster._threads == []
             assert cluster.slabs.bounds == (0, 5)
             cluster.run_block()
-        assert threads == dict.fromkeys(range(5), caller)
+        assert threads == dict.fromkeys(range(5), {caller})
 
     def test_transports_match_bitwise(self):
         for spec in (MLP, LSTM):
@@ -332,8 +377,6 @@ class TestCluster:
         config = ClusterConfig(0.1, 0.7, k, "centralized")
         with Cluster(spec, [worker], sync, None, config, threaded=False) as cluster:
             state = cluster.run_block()
-        from blocktrain.models import backward
-
         params = theta0.values.copy()
         velocity = np.zeros(len(theta0))
         for _ in range(k):
@@ -401,14 +444,7 @@ class TestCluster:
                 return trajectory, [row.tobytes() for row in c.params]
 
         assert run(poison=True) == run(poison=False)
-        train = WorkerState.run_local_block
-
-        def failing(self, *args):
-            if self.index == 0:
-                raise RuntimeError("crash")
-            train(self, *args)
-
-        monkeypatch.setattr(WorkerState, "run_local_block", failing)
+        inject_faults(monkeypatch, {0: RuntimeError("crash")})
         with pytest.raises(TrainingError) as failure:
             bounded(lambda: run(poison=True), timeout=30)
         assert str(failure.value) == "block 1, worker 0: crash"
@@ -460,25 +496,43 @@ class TestCluster:
         with pytest.raises(ValueError, match="empty shard"):
             WorkerState(0, (), make_rng(0))
 
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        n=st.integers(1, 6),
+        turns=st.lists(st.booleans(), max_size=40),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_next_batch_is_the_workers_own_shuffled_stream(self, seed, n, turns):
+        # every pass visits each batch once, in a permutation drawn from the
+        # worker's own generator at the start of the pass; workers with equal
+        # seeds draw equal sequences, however their draws interleave
+        batches = tuple(Batch(np.zeros((1, 4)), np.array([0])) for _ in range(n))
+        position = {id(b): k for k, b in enumerate(batches)}
+        rng = make_rng(seed)
+        want = [int(k) for _ in range(len(turns) + 3) for k in rng.permutation(n)]
+        solo = WorkerState(0, batches, make_rng(seed))
+        got = [position[id(solo.next_batch())] for _ in range(3 * n)]
+        assert got == want[: 3 * n]
+        for p in range(3):
+            assert sorted(got[p * n : (p + 1) * n]) == list(range(n))
+        pair = [WorkerState(i, batches, make_rng(seed)) for i in range(2)]
+        drawn = ([], [])
+        for turn in turns:
+            drawn[turn].append(position[id(pair[turn].next_batch())])
+        for seq in drawn:
+            assert seq == want[: len(seq)]
+
     @pytest.mark.parametrize("transport", ["centralized", "decentralized"])
     def test_barrier_no_worker_starts_next_block_early(self, transport, monkeypatch):
         # every worker must start block b from the global model after block
         # b - 1; one that started early would read the previous block's
         # global model, or one the coordinator is still writing
         pin_cores(monkeypatch, 4)
-        starts: dict = {}
-        train = WorkerState.run_local_block
-
-        def recording(self, spec, start, *args):
-            starts.setdefault(self.index, []).append(start.tobytes())
-            train(self, spec, start, *args)
-
-        monkeypatch.setattr(WorkerState, "run_local_block", recording)
-        theta0 = tiny_setup(4, transport)[2].global_model.values.tobytes()
         trajectory, _, _ = run_blocks(True, transport, blocks=3, n_workers=4)
-        assert sorted(starts) == [0, 1, 2, 3]
-        for rows in starts.values():
-            assert rows == [theta0, *trajectory[:-1]]
+        spec, workers, sync, shadow, config = tiny_setup(4, transport)
+        with Cluster(spec, workers, sync, shadow, config, threaded=True) as cluster:
+            starts = [run_replayed_block(cluster) for _ in range(3)]
+        assert starts == [sync.global_model.values.tobytes(), *trajectory[:-1]]
 
     @pytest.mark.parametrize(
         "threaded, transport, bad, velocity, error",
@@ -500,68 +554,31 @@ class TestCluster:
         # momentum 0.9 lets DIVERGE's velocity overflow within the block
         config = replace(config, momentum=0.9)
         workers[1] = WorkerState(1, (bad,), make_rng(0))
-
-        def body():
-            with Cluster(
-                spec, workers, sync, shadow, config, threaded=threaded
-            ) as cluster:
-                cluster.velocity[1] = velocity
-                cluster.run_block()
-
-        with pytest.raises(TrainingError) as failure:
-            bounded(body, timeout=30)
-        assert isinstance(failure.value.__cause__, ValueError)
-        assert error in str(failure.value)
-        assert "block 1" in str(failure.value)
-        assert "worker 1" in str(failure.value)
+        setup = spec, workers, sync, shadow, config
+        failure = block_failure(setup, threaded, {1: velocity})
+        assert isinstance(failure.__cause__, ValueError)
+        assert error in str(failure)
+        assert "block 1" in str(failure)
+        assert "worker 1" in str(failure)
 
     @SLAB_MODES
     def test_lowest_failing_worker_named(self, cores, monkeypatch):
         # workers 1 and 2 fail in block 1; worker 1 fails last, so with two
         # slabs the replies arrive with the higher-index failure first
         threaded = slab_mode(monkeypatch, cores)
-        train = WorkerState.run_local_block
-
-        def failing(self, *args):
-            if self.index == 1:
-                time.sleep(0.2)
-                raise FloatingPointError("slow failure")
-            if self.index == 2:
-                raise KeyError("fast failure")
-            train(self, *args)
-
-        monkeypatch.setattr(WorkerState, "run_local_block", failing)
-        spec, workers, sync, shadow, config = tiny_setup(4, "decentralized")
-
-        def body():
-            with Cluster(
-                spec, workers, sync, shadow, config, threaded=threaded
-            ) as cluster:
-                cluster.run_block()
-
-        with pytest.raises(TrainingError) as failure:
-            bounded(body, timeout=30)
-        assert isinstance(failure.value.__cause__, FloatingPointError)
-        assert str(failure.value) == "block 1, worker 1: slow failure"
+        faults = {1: FloatingPointError("slow failure"), 2: KeyError("fast failure")}
+        inject_faults(monkeypatch, faults, slow=1)
+        failure = block_failure(tiny_setup(4, "decentralized"), threaded)
+        assert isinstance(failure.__cause__, FloatingPointError)
+        assert str(failure) == "block 1, worker 1: slow failure"
 
     def test_slab_0_failure_waits_for_the_helper_slab(self, monkeypatch):
         # worker 1 crashes at once on the calling thread while the helper
         # slab (workers 2-3) still trains; worker 3 then crashes too. The
         # coordinator raises only once the helper has replied, names the
         # lower worker, leaves no reply behind, and close() joins the helper
-        train = WorkerState.run_local_block
-        helper_replied = threading.Event()
-
-        def failing(self, *args):
-            if self.index == 1:
-                raise RuntimeError("fast failure")
-            if self.index == 3:
-                time.sleep(0.2)
-                helper_replied.set()
-                raise KeyError("slow failure")
-            train(self, *args)
-
-        monkeypatch.setattr(WorkerState, "run_local_block", failing)
+        faults = {1: RuntimeError("fast failure"), 3: KeyError("slow failure")}
+        helper_replied = inject_faults(monkeypatch, faults, slow=3)
         spec, workers, sync, shadow, config = tiny_setup(4, "decentralized")
         seen = []
 
@@ -599,28 +616,12 @@ class TestCluster:
         # message still names the block and worker, and the worker's own
         # exception object is the cause, unchanged
         threaded = slab_mode(monkeypatch, cores)
-        train = WorkerState.run_local_block
         cause = make_cause()
         shown = str(cause)
-
-        def failing(self, *args):
-            if self.index == 1:
-                raise cause
-            train(self, *args)
-
-        monkeypatch.setattr(WorkerState, "run_local_block", failing)
-        spec, workers, sync, shadow, config = tiny_setup(4, transport)
-
-        def body():
-            with Cluster(
-                spec, workers, sync, shadow, config, threaded=threaded
-            ) as cluster:
-                cluster.run_block()
-
-        with pytest.raises(TrainingError) as failure:
-            bounded(body, timeout=30)
-        assert str(failure.value) == f"block 1, worker 1: {shown}"
-        assert failure.value.__cause__ is cause
+        inject_faults(monkeypatch, {1: cause})
+        failure = block_failure(tiny_setup(4, transport), threaded)
+        assert str(failure) == f"block 1, worker 1: {shown}"
+        assert failure.__cause__ is cause
         assert str(cause) == shown
 
     def test_interrupt_on_slab_0_passes_through_after_the_helper_replied(
@@ -629,19 +630,8 @@ class TestCluster:
         # an interrupt on the calling thread (slab 0, workers 0-1) is not a
         # training failure: it leaves run_block as itself, but only once the
         # helper slab (workers 2-3) has replied, and close() joins the helper
-        train = WorkerState.run_local_block
-        helper_replied = threading.Event()
         interrupt = KeyboardInterrupt()
-
-        def failing(self, *args):
-            if self.index == 1:
-                raise interrupt
-            train(self, *args)
-            if self.index == 3:
-                time.sleep(0.2)
-                helper_replied.set()
-
-        monkeypatch.setattr(WorkerState, "run_local_block", failing)
+        helper_replied = inject_faults(monkeypatch, {1: interrupt}, slow=3)
         spec, workers, sync, shadow, config = tiny_setup(4, "decentralized")
         seen = []
 
@@ -667,27 +657,16 @@ class TestCluster:
     @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
     def test_two_diverged_workers_name_the_lower(self, cores, monkeypatch):
         threaded = slab_mode(monkeypatch, cores)
-        bad, velocity, _ = DIVERGE
-        spec, workers, sync, shadow, config = tiny_setup(4, "centralized")
-        config = replace(config, momentum=0.9)
-        for i in (1, 3):
-            workers[i] = WorkerState(i, (bad,), make_rng(i))
-
-        def body():
-            with Cluster(
-                spec, workers, sync, shadow, config, threaded=threaded
-            ) as cluster:
-                cluster.velocity[[1, 3]] = velocity
-                cluster.run_block()
-
-        with pytest.raises(TrainingError) as failure:
-            bounded(body, timeout=30)
-        assert isinstance(failure.value.__cause__, ValueError)
-        assert str(failure.value) == (
+        setup = diverging(tiny_setup(4, "centralized"), (1, 3))
+        failure = block_failure(setup, threaded, dict.fromkeys((1, 3), DIVERGE[1]))
+        assert isinstance(failure.__cause__, ValueError)
+        assert str(failure) == (
             "block 1, worker 1: parameter vector contains non-finite values"
         )
 
     @SLAB_MODES
+    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
+    @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
     @pytest.mark.parametrize(
         "diverged, crashed, named",
         [(1, 2, "worker 1: parameter vector"), (2, 1, "worker 1: crash")],
@@ -699,28 +678,11 @@ class TestCluster:
         # one worker diverges and another crashes in block 1; the lower of
         # the two is named, whichever kind its failure is
         threaded = slab_mode(monkeypatch, cores)
-        train = WorkerState.run_local_block
-
-        def failing(self, spec, start, params, *args):
-            if self.index == crashed:
-                raise RuntimeError("crash")
-            train(self, spec, start, params, *args)
-            if self.index == diverged:
-                params[0] = np.inf
-
-        monkeypatch.setattr(WorkerState, "run_local_block", failing)
-        spec, workers, sync, shadow, config = tiny_setup(4, "decentralized")
-
-        def body():
-            with Cluster(
-                spec, workers, sync, shadow, config, threaded=threaded
-            ) as cluster:
-                cluster.run_block()
-
-        with pytest.raises(TrainingError) as failure:
-            bounded(body, timeout=30)
-        assert str(failure.value).startswith(f"block 1, {named}")
-        cause = failure.value.__cause__
+        inject_faults(monkeypatch, {crashed: RuntimeError("crash")})
+        setup = diverging(tiny_setup(4, "decentralized"), (diverged,))
+        failure = block_failure(setup, threaded, {diverged: DIVERGE[1]})
+        assert str(failure).startswith(f"block 1, {named}")
+        cause = failure.__cause__
         assert type(cause) is (ValueError if diverged < crashed else RuntimeError)
 
     @pytest.mark.parametrize("threaded", [True, False], ids=["threaded", "serial"])
@@ -728,25 +690,16 @@ class TestCluster:
     # the coordinator silences numpy's overflow warning, which would
     # otherwise become the error here
     @pytest.mark.filterwarnings("error::RuntimeWarning")
-    def test_aggregate_overflow_names_the_block(self, threaded, transport, monkeypatch):
-        # two finite local models whose centered mean overflows: no worker
-        # diverged, so the failure is the coordinator's
-        def extreme(self, spec, start, params, *args):
-            params[...] = 1.7e308 if self.index else -1.7e308
-
-        monkeypatch.setattr(WorkerState, "run_local_block", extreme)
+    def test_aggregate_overflow_names_the_block(self, threaded, transport):
+        # two finite local models whose centered mean overflows: one step
+        # with momentum 0.9 moves each worker by 0.9 times its velocity row,
+        # to about -1.53e308 and +1.53e308; no worker diverged, so the
+        # failure is the coordinator's
         spec, workers, sync, shadow, config = tiny_setup(2, transport)
-
-        def body():
-            with Cluster(
-                spec, workers, sync, shadow, config, threaded=threaded
-            ) as cluster:
-                cluster.run_block()
-
-        with pytest.raises(TrainingError) as failure:
-            bounded(body, timeout=30)
-        assert isinstance(failure.value.__cause__, ValueError)
-        assert str(failure.value) == "block 1: parameter vector contains non-finite values"
+        setup = spec, workers, sync, shadow, replace(config, momentum=0.9, block_size=1)
+        failure = block_failure(setup, threaded, {0: -1.7e308, 1: 1.7e308})
+        assert isinstance(failure.__cause__, ValueError)
+        assert str(failure) == "block 1: parameter vector contains non-finite values"
 
     @pytest.mark.parametrize("transport", ["centralized", "decentralized"])
     def test_warm_block_allocates_no_parameter_sized_array(self, transport):

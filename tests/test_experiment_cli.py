@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 from blocktrain import experiment, metrics
 from blocktrain.cli import main
-from blocktrain.cluster import Cluster, WorkerState
+from blocktrain.cluster import Cluster
 from blocktrain.data import generate_corpus, stack_frames
 from blocktrain.experiment import (
     ConfigError,
@@ -24,6 +24,8 @@ from blocktrain.metrics import evaluate_checkpoints, shadow_verdicts
 from blocktrain.models import init_params
 from blocktrain.numerics import substream
 from blocktrain.sync import ShadowState, shadow_update
+
+from .faults import inject_faults
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -483,14 +485,8 @@ class TestCliRun:
     def test_worker_os_error_ends_in_one_error_line(self, tmp_path, capsys, monkeypatch):
         # an OSError from training is a failed run (3), not an I/O error (1),
         # and its line keeps the block and worker
-        train = WorkerState.run_local_block
-
-        def failing(self, *args):
-            if self.index == 1:
-                raise FileNotFoundError(2, "No such file or directory", "shard.bin")
-            train(self, *args)
-
-        monkeypatch.setattr(WorkerState, "run_local_block", failing)
+        cause = FileNotFoundError(2, "No such file or directory", "shard.bin")
+        inject_faults(monkeypatch, {1: cause})
         cfg_path = tmp_path / "exp.cfg"
         write_tiny_config(cfg_path)
         out = tmp_path / "out"
