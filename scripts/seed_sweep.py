@@ -2,10 +2,11 @@
 """Multi-seed study of the final-model strategies on the default experiment.
 
 For each seed and model family this runs ``configs/default_<model>.cfg``
-(plus any ``--set`` overrides), then reports per strategy the final test FER
-and the test-FER curve spread (standard deviation of the per-checkpoint test
-FER series). The two summary counts at the bottom are the ones the
-acceptance suite checks:
+(plus any ``--set`` overrides) through ``experiment.shadow_study``, the
+runner the acceptance suite's shadow-model test uses, then reports per
+strategy the final test FER and the test-FER curve spread (standard
+deviation of the per-checkpoint test FER series). The two summary counts at
+the bottom are the ones the acceptance suite checks:
 
 * ema_beats_bmuf: seeds where the exponential shadow's final test FER is at
   most the raw global model's
@@ -20,20 +21,19 @@ failed.
 Usage: python scripts/seed_sweep.py [--seeds N] [--models mlp,lstm]
        [--set key=value ...]
 
-``--set`` values are parsed as config files parse them; an unknown or
-repeated key, an unparsable value or an invalid config exits with status 2
-naming the key. ``--set seed=N`` exits with status 2 naming ``'seed'``,
-since the sweep runs seeds 0 to ``--seeds`` minus 1 whatever the config
-says. A model without a ``configs/default_<model>.cfg`` exits with status 2
-naming the model; ``--seeds`` below 1 exits with status 2 naming
-``--seeds``.
+A ``--set`` item means what the same line means in a config file; a
+missing ``=``, an unknown or repeated key, an unparsable value or an
+invalid config exits with status 2 naming the key. ``--set seed=N`` exits
+with status 2 naming ``'seed'``, since the sweep runs seeds 0 to
+``--seeds`` minus 1 whatever the config says. A model without a
+``configs/default_<model>.cfg`` exits with status 2 naming the model;
+``--seeds`` below 1 exits with status 2 naming ``--seeds``.
 """
 
 from __future__ import annotations
 
 import argparse
 import sys
-import time
 from dataclasses import replace
 from pathlib import Path
 
@@ -44,25 +44,19 @@ from blocktrain.experiment import (
     ConfigError,
     ExperimentConfig,
     TrainingError,
-    parse_value,
-    run_experiment,
+    parse_lines,
+    shadow_study,
 )
-from blocktrain.metrics import curve_spread, shadow_verdicts
+from blocktrain.metrics import curve_spread
 
 
 def parse_overrides(items):
-    """``key=value`` strings parsed as config files parse them; raises
-    ConfigError naming the key if it is unknown, repeated, ``seed`` (the
-    seeds come from ``--seeds``) or its value unparsable."""
-    overrides = {}
-    for item in items:
-        key, _, raw = item.partition("=")
-        key = key.strip()
-        if key == "seed":
-            raise ConfigError(key, "the sweep's seeds come from --seeds")
-        if key in overrides:
-            raise ConfigError(key, "duplicate key")
-        overrides[key] = parse_value(key, raw.strip())
+    """``key=value`` strings parsed as config-file lines; raises ConfigError
+    naming the key where a config file would, or if it is ``seed`` (the
+    seeds come from ``--seeds``)."""
+    overrides = parse_lines(items)
+    if "seed" in overrides:
+        raise ConfigError("seed", "the sweep's seeds come from --seeds")
     return overrides
 
 
@@ -80,36 +74,26 @@ def load_configs(models, overrides):
 
 def run_study(configs, seeds):
     for model, config in configs.items():
-        ema_beats_bmuf = 0
-        ema_steadier = 0
-        failed = 0
+        study = shadow_study(config, seeds)
         print(f"== {model} ==")
         print("seed  bmuf_fer  ma_fer  ema_fer  ma_spread  ema_spread  secs")
-        for seed in seeds:
-            start = time.perf_counter()
-            try:
-                result = run_experiment(config.with_seed(seed), threaded=False)
-            except TrainingError as exc:
-                failed += 1
-                print(f"{seed:<4d}  error: {exc}")
+        for seed, run in zip(seeds, study.runs):
+            if isinstance(run, TrainingError):
+                print(f"{seed:<4d}  error: {run}")
                 continue
-            # the test curve is evaluated on first read: read it inside the
-            # clock, so secs times the whole run
-            records = result.test_records
-            elapsed = time.perf_counter() - start
-            final = result.final_test_fer
-            spread_ma = curve_spread(records, "ma")
-            spread_ema = curve_spread(records, "ema")
-            beats, steadier = shadow_verdicts(final, records)
-            ema_beats_bmuf += beats
-            ema_steadier += steadier
+            final = run.final_test_fer
+            spread_ma = curve_spread(run.test_curve, "ma")
+            spread_ema = curve_spread(run.test_curve, "ema")
             print(
                 f"{seed:<4d}  {final['bmuf']:.4f}    {final['ma']:.4f}  "
-                f"{final['ema']:.4f}   {spread_ma:.5f}    {spread_ema:.5f}     {elapsed:.1f}"
+                f"{final['ema']:.4f}   {spread_ma:.5f}    {spread_ema:.5f}     {run.seconds:.1f}"
             )
         n = len(seeds)
-        print(f"ema_beats_bmuf: {ema_beats_bmuf}/{n}   ema_steadier_than_ma: {ema_steadier}/{n}")
-        print(f"failed_seeds: {failed}/{n}")
+        print(
+            f"ema_beats_bmuf: {study.ema_beats_bmuf}/{n}   "
+            f"ema_steadier_than_ma: {study.ema_steadier_than_ma}/{n}"
+        )
+        print(f"failed_seeds: {study.failed_seeds}/{n}")
         print()
 
 

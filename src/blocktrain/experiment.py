@@ -14,9 +14,10 @@ from __future__ import annotations
 
 import math
 import numbers
+import time
 from dataclasses import dataclass, fields, replace
-from functools import cached_property
 from pathlib import Path
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -29,7 +30,7 @@ from .data import (
     split_by_speaker,
     stack_frames,
 )
-from .metrics import EvalRecord, evaluate_checkpoints
+from .metrics import EvalRecord, evaluate_checkpoints, shadow_verdicts
 from .models import Batch, LstmSpec, MlpSpec, ModelSpec, init_params
 from .numerics import ParamVector, frozen, is_integer, substream
 from .sync import STRATEGIES, Checkpoint, ShadowState, SyncState
@@ -39,8 +40,12 @@ __all__ = [
     "TrainingError",
     "ExperimentConfig",
     "ExperimentResult",
+    "SeedRun",
+    "ShadowStudy",
     "run_experiment",
+    "shadow_study",
     "write_run_artifacts",
+    "parse_lines",
     "parse_value",
     "CURVES_HEADER",
     "FINAL_HEADER",
@@ -198,19 +203,7 @@ class ExperimentConfig:
 
     @staticmethod
     def from_text(text: str) -> "ExperimentConfig":
-        values: dict[str, object] = {}
-        for raw in text.splitlines():
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            key, sep, rendered = line.partition("=")
-            key = key.strip()
-            if not sep:
-                raise ConfigError(key or raw.strip(), "expected 'key = value'")
-            if key in values:
-                raise ConfigError(key, "duplicate key")
-            values[key] = parse_value(key, rendered.strip())
-        return ExperimentConfig(**values)
+        return ExperimentConfig(**parse_lines(text.splitlines()))
 
     def to_file(self, path: str | Path) -> None:
         Path(path).write_text(self.to_text())
@@ -261,6 +254,25 @@ _TYPE_RULES = {
 _FIELD_TYPES = {f.name: f.type for f in fields(ExperimentConfig)}
 
 
+def parse_lines(lines: Iterable[str]) -> dict[str, object]:
+    """Config-file lines parsed into values: ``#`` starts a comment, blank
+    lines are skipped, and a line without ``=``, a repeated key or a value
+    :func:`parse_value` rejects raises :class:`ConfigError` naming the key."""
+    values: dict[str, object] = {}
+    for raw in lines:
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        key, sep, rendered = line.partition("=")
+        key = key.strip()
+        if not sep:
+            raise ConfigError(key or raw.strip(), "expected 'key = value'")
+        if key in values:
+            raise ConfigError(key, "duplicate key")
+        values[key] = parse_value(key, rendered.strip())
+    return values
+
+
 def parse_value(key: str, rendered: str) -> object:
     """One config value parsed as config files parse it; raises
     :class:`ConfigError` naming ``key`` if it is unknown or unparsable."""
@@ -278,14 +290,7 @@ def parse_value(key: str, rendered: str) -> object:
 
 @dataclass
 class ExperimentResult:
-    """Everything a finished run produced, still in memory.
-
-    The run computes ``val_records`` and ``final_test_fer``, the only test
-    results its artifacts read. ``test_records``, the test FER of every
-    checkpoint, is computed from ``checkpoints`` and ``test_set`` on first
-    read and kept. Each FER depends only on its checkpoint and the read-only
-    ``test_set``, so the records are the same whenever they are computed.
-    """
+    """Everything a finished run produced, still in memory."""
 
     config: ExperimentConfig
     checkpoints: list[Checkpoint]
@@ -296,12 +301,6 @@ class ExperimentResult:
     trajectory: list[ParamVector] | None = None
     sync_state: SyncState | None = None
     shadow_state: ShadowState | None = None
-
-    @cached_property
-    def test_records(self) -> list[EvalRecord]:
-        return evaluate_checkpoints(
-            self.checkpoints, self.test_set, self.config.model_spec()
-        )
 
 
 def _concat_batch(corpus: Corpus, k: int) -> Batch:
@@ -328,8 +327,7 @@ def run_experiment(
     boundaries, and the last block of the final epoch is always a checkpoint,
     so the final models are the last checkpoint's models. Every checkpoint
     is evaluated on the validation set; the test set is evaluated only at
-    the last checkpoint, for ``final_test_fer``. The per-checkpoint test
-    curve, ``result.test_records``, is computed when first read.
+    the last checkpoint, for ``final_test_fer``.
     """
     rng_corpus = substream(config.seed, TAG_CORPUS)
     corpus = generate_corpus(
@@ -437,6 +435,54 @@ def run_experiment(
         sync_state=final_sync,
         shadow_state=final_shadow,
     )
+
+
+# ---------------------------------------------------------------------------
+# shadow-model study
+
+
+@dataclass(frozen=True)
+class SeedRun:
+    """One seed of a shadow study: its wall time (run plus test curve), its
+    final models' test FER and its per-checkpoint test FER curve."""
+
+    seconds: float
+    final_test_fer: dict[str, float]
+    test_curve: list[EvalRecord]
+
+
+@dataclass(frozen=True)
+class ShadowStudy:
+    """Per seed, in seed order, its :class:`SeedRun` or the
+    :class:`TrainingError` that ended it, and the study's counts. A failed
+    seed counts toward neither verdict."""
+
+    runs: list[SeedRun | TrainingError]
+    ema_beats_bmuf: int
+    ema_steadier_than_ma: int
+    failed_seeds: int
+
+
+def shadow_study(config: ExperimentConfig, seeds: Sequence[int]) -> ShadowStudy:
+    """One serial run of ``config`` per seed and its two shadow-model
+    verdicts (:func:`metrics.shadow_verdicts`): the metric the acceptance
+    suite checks and ``scripts/seed_sweep.py`` reports."""
+    runs: list[SeedRun | TrainingError] = []
+    beats = steadier = failed = 0
+    for seed in seeds:
+        start = time.perf_counter()
+        try:
+            result = run_experiment(config.with_seed(seed), threaded=False)
+        except TrainingError as exc:
+            runs.append(exc)
+            failed += 1
+            continue
+        records = evaluate_checkpoints(result.checkpoints, result.test_set, config.model_spec())
+        runs.append(SeedRun(time.perf_counter() - start, result.final_test_fer, records))
+        seed_beats, seed_steadier = shadow_verdicts(result.final_test_fer, records)
+        beats += seed_beats
+        steadier += seed_steadier
+    return ShadowStudy(runs, beats, steadier, failed)
 
 
 # ---------------------------------------------------------------------------

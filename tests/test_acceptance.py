@@ -15,8 +15,7 @@ import pytest
 
 from blocktrain.cli import main
 from blocktrain.cluster import decentralized_aggregate, make_shard_plan
-from blocktrain.experiment import ExperimentConfig, run_experiment
-from blocktrain.metrics import shadow_verdicts
+from blocktrain.experiment import ExperimentConfig, run_experiment, shadow_study
 from blocktrain.models import Batch, LstmSpec, MlpSpec, backward, init_params
 from blocktrain.numerics import ParamVector, make_rng, mean_reduce
 from blocktrain.sync import ShadowState, SyncState, bmuf_apply, shadow_update
@@ -200,15 +199,11 @@ def test_09_final_model_quality_and_curve_steadiness():
     """
     with verdict(9, "EMA beats raw final model and out-steadies MA (>= 7/10 seeds)"):
         for config in (MLP_CONFIG, LSTM_CONFIG):
-            final_wins = 0
-            steadiness_wins = 0
-            for seed in range(10):
-                result = run_experiment(config.with_seed(seed), threaded=False)
-                beats, steadier = shadow_verdicts(
-                    result.final_test_fer, result.test_records
-                )
-                final_wins += beats
-                steadiness_wins += steadier
+            study = shadow_study(config, range(10))
+            errors = [str(run) for run in study.runs if isinstance(run, Exception)]
+            assert not errors, f"{config.model}: failed seeds {errors}"
+            final_wins = study.ema_beats_bmuf
+            steadiness_wins = study.ema_steadier_than_ma
             print(
                 f"    {config.model}: final ema<=bmuf {final_wins}/10, "
                 f"ema steadier than ma {steadiness_wins}/10"

@@ -1,4 +1,5 @@
 import copy
+import os
 import sys
 import threading
 import tracemalloc
@@ -185,9 +186,10 @@ def pin_cores(monkeypatch, cores):
     monkeypatch.setattr(blocktrain.cluster, "_cores", lambda: cores)
 
 
-@pytest.fixture(autouse=True)
-def two_cores(monkeypatch):
-    pin_cores(monkeypatch, 2)
+def test_cores_are_the_affinity_mask_else_the_cpu_count(monkeypatch):
+    assert blocktrain.cluster._cores() == len(os.sched_getaffinity(0))
+    monkeypatch.delattr(os, "sched_getaffinity")
+    assert blocktrain.cluster._cores() == (os.cpu_count() or 1)
 
 
 def live_helpers():
@@ -577,6 +579,7 @@ class TestCluster:
         # slab (workers 2-3) still trains; worker 3 then crashes too. The
         # coordinator raises only once the helper has replied, names the
         # lower worker, leaves no reply behind, and close() joins the helper
+        pin_cores(monkeypatch, 2)
         faults = {1: RuntimeError("fast failure"), 3: KeyError("slow failure")}
         helper_replied = inject_faults(monkeypatch, faults, slow=3)
         spec, workers, sync, shadow, config = tiny_setup(4, "decentralized")
@@ -630,6 +633,7 @@ class TestCluster:
         # an interrupt on the calling thread (slab 0, workers 0-1) is not a
         # training failure: it leaves run_block as itself, but only once the
         # helper slab (workers 2-3) has replied, and close() joins the helper
+        pin_cores(monkeypatch, 2)
         interrupt = KeyboardInterrupt()
         helper_replied = inject_faults(monkeypatch, {1: interrupt}, slow=3)
         spec, workers, sync, shadow, config = tiny_setup(4, "decentralized")

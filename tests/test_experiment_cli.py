@@ -18,6 +18,7 @@ from blocktrain.experiment import (
     ExperimentConfig,
     TrainingError,
     run_experiment,
+    shadow_study,
     write_run_artifacts,
 )
 from blocktrain.metrics import evaluate_checkpoints, shadow_verdicts
@@ -177,7 +178,6 @@ class TestRunExperiment:
         result = run_experiment(TINY, threaded=False)
         strategies = 3
         assert len(result.val_records) == TINY.epochs * 4 * strategies
-        assert len(result.test_records) == len(result.val_records)
         assert set(result.final_test_fer) == {"bmuf", "ma", "ema"}
         # the last checkpoint is the final state
         assert result.checkpoints[-3].block_index == result.sync_state.block_index
@@ -206,12 +206,9 @@ class TestRunExperiment:
         assert set(result.final_test_fer) == {"bmuf"}
 
     @pytest.mark.parametrize("shadows_enabled", [True, False])
-    def test_test_curve_is_evaluated_on_first_read(
+    def test_test_set_is_predicted_only_at_the_last_checkpoint(
         self, tmp_path, monkeypatch, shadows_enabled
     ):
-        # a run and its artifacts predict the test set at the last
-        # checkpoint only; the per-checkpoint test curve costs one
-        # prediction per checkpoint on its first read and none after
         predict = metrics.predict_frames
         calls = []
 
@@ -224,16 +221,14 @@ class TestRunExperiment:
         write_run_artifacts(result, tmp_path)
         k = 3 if shadows_enabled else 1
         assert len(calls) == len(result.val_records) + k
-        records = result.test_records
-        assert len(calls) == len(result.val_records) + k + len(result.checkpoints)
-        assert result.test_records is records
-        assert len(calls) == len(result.val_records) + k + len(result.checkpoints)
-        monkeypatch.undo()
-        want = evaluate_checkpoints(result.checkpoints, result.test_set, TINY.model_spec())
-        assert records == want
-        final = list(result.final_test_fer.items())
-        assert [(r.strategy, r.fer.hex()) for r in records[-k:]] == [
-            (strategy, fer.hex()) for strategy, fer in final
+
+    def test_shadow_study_curve_ends_at_the_final_models(self):
+        (run,) = shadow_study(TINY, [TINY.seed]).runs
+        result = run_experiment(TINY, threaded=False)
+        spec = TINY.model_spec()
+        assert run.test_curve == evaluate_checkpoints(result.checkpoints, result.test_set, spec)
+        assert [(r.strategy, r.fer.hex()) for r in run.test_curve[-3:]] == [
+            (strategy, fer.hex()) for strategy, fer in result.final_test_fer.items()
         ]
 
     def test_trajectory_recording(self):
@@ -619,63 +614,29 @@ class TestSeedSweepOverrides:
         assert config.reset_momentum is False
 
     @pytest.mark.parametrize(
-        "item, key", [("bogus=1", "bogus"), ("reset_momentum=maybe", "reset_momentum")]
+        "argv, message",
+        [
+            (["--set", "bogus=1"], "error: config key 'bogus': unknown key"),
+            (["--set", "bogus"], "error: config key 'bogus': expected 'key = value'"),
+            (["--set", "reset_momentum=maybe"], "error: config key 'reset_momentum': cannot"),
+            # a config file rejects a repeated key, so the overrides do too
+            (["--set", "epochs=1", "--set", "epochs=2"], "error: config key 'epochs': duplicate"),
+            # the sweep replaces the seed with each of its own, so an
+            # override would be silently dropped
+            (["--set", "seed=5"], "error: config key 'seed': the sweep's seeds come from --seeds"),
+            (["--models", "mlp,gpt"], "error: config key 'model': unknown model 'gpt'"),
+            # valid on its own; only the run finds more workers than utterances
+            (["--set", "num_workers=2000"], "error: config key 'num_workers': more workers"),
+            (["--seeds", "0"], "error: --seeds must be at least 1"),
+            (["--seeds", "-3"], "error: --seeds must be at least 1"),
+        ],
     )
-    def test_bad_override_names_key_and_exits_2(self, item, key, capsys):
+    def test_bad_argument_is_named_and_exits_2(self, argv, message, capsys):
         with pytest.raises(SystemExit) as stop:
-            load_seed_sweep().main(["--seeds", "1", "--models", "mlp", "--set", item])
-        assert stop.value.code == 2
-        assert f"'{key}'" in capsys.readouterr().err
-
-    def test_duplicate_key_names_key_and_exits_2(self, capsys):
-        # a config file rejects a repeated key, so the overrides do too
-        with pytest.raises(ConfigError, match="'epochs': duplicate key"):
-            load_seed_sweep().parse_overrides(["epochs=1", "epochs=2"])
-        with pytest.raises(SystemExit) as stop:
-            load_seed_sweep().main(
-                ["--seeds", "1", "--models", "mlp", "--set", "epochs=1", "--set", "epochs=2"]
-            )
-        assert stop.value.code == 2
-        assert "'epochs': duplicate key" in capsys.readouterr().err
-
-    def test_seed_override_names_seed_and_exits_2(self, capsys):
-        # the sweep replaces the seed with each of its own, so an override
-        # would be silently dropped
-        with pytest.raises(ConfigError, match="'seed': .*--seeds"):
-            load_seed_sweep().parse_overrides(["seed=5"])
-        with pytest.raises(SystemExit) as stop:
-            load_seed_sweep().main(["--seeds", "1", "--models", "mlp", "--set", "seed=5"])
+            load_seed_sweep().main(["--seeds", "1", "--models", "mlp", *argv])
         assert stop.value.code == 2
         captured = capsys.readouterr()
-        assert "'seed'" in captured.err
-        assert captured.out == ""
-
-    def test_unknown_model_names_model_and_exits_2(self, capsys):
-        with pytest.raises(SystemExit) as stop:
-            load_seed_sweep().main(["--seeds", "1", "--models", "mlp,gpt"])
-        assert stop.value.code == 2
-        err = capsys.readouterr().err
-        assert err.startswith("error: ")
-        assert "'gpt'" in err
-
-    def test_config_error_from_run_names_key_and_exits_2(self, capsys):
-        # valid on its own; only the run finds more workers than utterances
-        with pytest.raises(SystemExit) as stop:
-            load_seed_sweep().main(
-                ["--seeds", "1", "--models", "mlp", "--set", "num_workers=2000"]
-            )
-        assert stop.value.code == 2
-        err = capsys.readouterr().err
-        assert err.startswith("error: ")
-        assert "'num_workers'" in err
-
-    @pytest.mark.parametrize("seeds", ["0", "-3"])
-    def test_seeds_below_1_exit_2(self, seeds, capsys):
-        with pytest.raises(SystemExit) as stop:
-            load_seed_sweep().main(["--seeds", seeds, "--models", "mlp"])
-        assert stop.value.code == 2
-        captured = capsys.readouterr()
-        assert "--seeds" in captured.err
+        assert message in captured.err
         assert captured.out == ""
 
 
@@ -695,18 +656,26 @@ class TestSeedSweepFailures:
 
     def test_failed_seed_counts_toward_neither_verdict(self, capsys, monkeypatch):
         sweep = load_seed_sweep()
-        results = []
+        studies = []
 
         def seed_0_fails(config, **kw):
             if config.seed == 0:
                 raise TrainingError("block 3, worker 2: boom")
-            results.append(run_experiment(config, **kw))
-            return results[-1]
+            return run_experiment(config, **kw)
 
-        monkeypatch.setattr(sweep, "run_experiment", seed_0_fails)
+        def kept(*args):
+            studies.append(shadow_study(*args))
+            return studies[-1]
+
+        monkeypatch.setattr(experiment, "run_experiment", seed_0_fails)
+        monkeypatch.setattr(sweep, "shadow_study", kept)
         sweep.main(["--seeds", "2", "--models", "mlp", "--set", "epochs=1"])
         lines = capsys.readouterr().out.splitlines()
-        beats, steadier = shadow_verdicts(results[0].final_test_fer, results[0].test_records)
+        (study,) = studies
+        error, run = study.runs
+        beats, steadier = shadow_verdicts(run.final_test_fer, run.test_curve)
+        assert (study.ema_beats_bmuf, study.ema_steadier_than_ma) == (beats, steadier)
+        assert study.failed_seeds == 1 and isinstance(error, TrainingError)
         assert lines[2] == "0     error: block 3, worker 2: boom"
         assert lines[3].startswith("1  ")
         assert f"ema_beats_bmuf: {beats:d}/2   ema_steadier_than_ma: {steadier:d}/2" in lines
