@@ -33,7 +33,7 @@ from .data import (
 from .metrics import EvalRecord, evaluate_checkpoints, shadow_verdicts
 from .models import Batch, LstmSpec, MlpSpec, ModelSpec, init_params
 from .numerics import ParamVector, frozen, is_integer, substream
-from .sync import STRATEGIES, Checkpoint, ShadowState, SyncState
+from .sync import STRATEGIES, Checkpoint, ShadowState, SyncState, shadow_update
 
 __all__ = [
     "ConfigError",
@@ -42,7 +42,9 @@ __all__ = [
     "ExperimentResult",
     "SeedRun",
     "ShadowStudy",
+    "checkpoint_epochs",
     "run_experiment",
+    "replay_checkpoints",
     "shadow_study",
     "write_run_artifacts",
     "parse_lines",
@@ -290,10 +292,15 @@ def parse_value(key: str, rendered: str) -> object:
 
 @dataclass
 class ExperimentResult:
-    """Everything a finished run produced, still in memory."""
+    """Everything a finished run produced, still in memory.
+
+    A run keeps no per-checkpoint models: it scores each checkpoint as it is
+    taken. ``sync_state`` and ``shadow_state`` hold the final models, and
+    with ``record_trajectory=True`` :func:`replay_checkpoints` rebuilds every
+    checkpoint's models from ``trajectory``.
+    """
 
     config: ExperimentConfig
-    checkpoints: list[Checkpoint]
     val_records: list[EvalRecord]
     test_set: Batch
     final_test_fer: dict[str, float]
@@ -313,6 +320,28 @@ def _concat_batch(corpus: Corpus, k: int) -> Batch:
     return Batch(inputs, labels, lengths)
 
 
+def checkpoint_epochs(epochs: int, blocks_per_epoch: int) -> dict[int, float]:
+    """Block index -> fractional epoch of every checkpoint, in block order:
+    four per epoch, at the blocks closest to the quarter boundaries, the
+    last being the run's last block."""
+    tags: dict[int, float] = {}
+    for e in range(epochs):
+        for q in (1, 2, 3, 4):
+            tags[e * blocks_per_epoch + math.ceil(q * blocks_per_epoch / 4)] = e + q / 4
+    return tags
+
+
+def _candidates(
+    block: int, epoch: float, global_model: ParamVector, shadow: ShadowState | None
+) -> list[Checkpoint]:
+    """The candidate models of one checkpoint, in :data:`STRATEGIES` order."""
+    checkpoints = [Checkpoint("bmuf", block, epoch, global_model)]
+    if shadow is not None:
+        checkpoints.append(Checkpoint("ma", block, epoch, shadow.ma_model))
+        checkpoints.append(Checkpoint("ema", block, epoch, shadow.ema_model))
+    return checkpoints
+
+
 def run_experiment(
     config: ExperimentConfig,
     *,
@@ -322,12 +351,15 @@ def run_experiment(
 ) -> ExperimentResult:
     """Run the full pipeline: corpus, split, shard, train, evaluate.
 
-    One epoch is ``ceil(largest shard size / block_size)`` blocks; four
-    checkpoints are taken per epoch, at the blocks closest to the quarter
-    boundaries, and the last block of the final epoch is always a checkpoint,
-    so the final models are the last checkpoint's models. Every checkpoint
-    is evaluated on the validation set; the test set is evaluated only at
-    the last checkpoint, for ``final_test_fer``.
+    One epoch is ``ceil(largest shard size / block_size)`` blocks, and the
+    checkpoints are at :func:`checkpoint_epochs`' blocks, the run's last
+    block among them, so the final models are the last checkpoint's models.
+    At every checkpoint the live global, MA and EMA models are evaluated on
+    the validation set before the next block overwrites them; no checkpoint
+    is copied. Once training ends the cluster's worker arrays are released
+    and the test set is evaluated once, on the final models, for
+    ``final_test_fer``. With ``record_trajectory`` the run keeps a copy of
+    every block's global model.
     """
     rng_corpus = substream(config.seed, TAG_CORPUS)
     corpus = generate_corpus(
@@ -380,15 +412,12 @@ def run_experiment(
             "needs at least 4 blocks per epoch to place 4 checkpoints; "
             "shrink block_size or add training data",
         )
-    checkpoint_tags: dict[int, float] = {}
-    for e in range(config.epochs):
-        for q in (1, 2, 3, 4):
-            block = e * blocks_per_epoch + math.ceil(q * blocks_per_epoch / 4)
-            checkpoint_tags[block] = e + q / 4
-    # the cluster overwrites its sync and shadow state on every block, so
-    # the trajectory and the checkpoints keep copies
+    last = config.epochs * blocks_per_epoch
+    checkpoint_tags = checkpoint_epochs(config.epochs, blocks_per_epoch)
+    # built at the first checkpoint, so that setup ends when training starts
+    val_batch: Batch | None = None
+    val_records: list[EvalRecord] = []
     trajectory: list[ParamVector] | None = [] if record_trajectory else None
-    checkpoints: list[Checkpoint] = []
     with Cluster(
         spec,
         workers,
@@ -397,44 +426,62 @@ def run_experiment(
         config.cluster_config(),
         threaded=threaded,
     ) as cluster:
-        for t in range(1, config.epochs * blocks_per_epoch + 1):
+        for t in range(1, last + 1):
             state = cluster.run_block()
             if trajectory is not None:
                 trajectory.append(state.global_model.copy())
-            tag = checkpoint_tags.get(t)
-            if tag is not None:
-                checkpoints.append(Checkpoint("bmuf", t, tag, state.global_model.copy()))
-                if cluster.shadow_state is not None:
-                    checkpoints.append(
-                        Checkpoint("ma", t, tag, cluster.shadow_state.ma_model.copy())
-                    )
-                    checkpoints.append(
-                        Checkpoint("ema", t, tag, cluster.shadow_state.ema_model.copy())
-                    )
+            if t in checkpoint_tags:
+                if val_batch is None:
+                    val_batch = _concat_batch(val, config.stack)
+                val_records += evaluate_checkpoints(
+                    _candidates(
+                        t, checkpoint_tags[t], state.global_model, cluster.shadow_state
+                    ),
+                    val_batch,
+                    spec,
+                )
         final_sync = cluster.sync_state
         final_shadow = cluster.shadow_state
-    # the final states keep only their own buffers alive; the (N, P) arrays
-    # go before evaluation
+    # the final states keep only the coordinator's output rows alive; the
+    # (N, P) worker arrays go before the test set is evaluated
     del cluster
-    val_batch = _concat_batch(val, config.stack)
     test_batch = _concat_batch(test, config.stack)
-    val_records = evaluate_checkpoints(checkpoints, val_batch, spec)
-    strategies_per_cp = 3 if shadows_enabled else 1
     final_records = evaluate_checkpoints(
-        checkpoints[-strategies_per_cp:], test_batch, spec
+        _candidates(last, checkpoint_tags[last], final_sync.global_model, final_shadow),
+        test_batch,
+        spec,
     )
-    final_test = {r.strategy: r.fer for r in final_records}
     return ExperimentResult(
         config=config,
-        checkpoints=checkpoints,
         val_records=val_records,
         test_set=test_batch,
-        final_test_fer=final_test,
+        final_test_fer={r.strategy: r.fer for r in final_records},
         blocks_per_epoch=blocks_per_epoch,
         trajectory=trajectory,
         sync_state=final_sync,
         shadow_state=final_shadow,
     )
+
+
+def replay_checkpoints(result: ExperimentResult) -> list[Checkpoint]:
+    """Every checkpoint's candidate models of a run made with
+    ``record_trajectory=True``, in the order of its ``val_records``: the
+    recorded global model, and MA and EMA replayed from the initial model
+    with :func:`shadow_update` over the trajectory, which gives the run's
+    own shadows bit for bit (shadows never touch training)."""
+    config = result.config
+    checkpoint_tags = checkpoint_epochs(config.epochs, result.blocks_per_epoch)
+    shadow = None
+    if result.shadow_state is not None:
+        theta0 = init_params(config.model_spec(), substream(config.seed, TAG_INIT))
+        shadow = ShadowState.initial(theta0, config.ema_rate)
+    checkpoints: list[Checkpoint] = []
+    for t, global_model in enumerate(result.trajectory, 1):
+        if shadow is not None:
+            shadow = shadow_update(shadow, global_model)
+        if t in checkpoint_tags:
+            checkpoints += _candidates(t, checkpoint_tags[t], global_model, shadow)
+    return checkpoints
 
 
 # ---------------------------------------------------------------------------
@@ -466,18 +513,24 @@ class ShadowStudy:
 def shadow_study(config: ExperimentConfig, seeds: Sequence[int]) -> ShadowStudy:
     """One serial run of ``config`` per seed and its two shadow-model
     verdicts (:func:`metrics.shadow_verdicts`): the metric the acceptance
-    suite checks and ``scripts/seed_sweep.py`` reports."""
+    suite checks and ``scripts/seed_sweep.py`` reports. Each run records its
+    trajectory, and its per-checkpoint test curve is evaluated on the
+    models :func:`replay_checkpoints` rebuilds from it."""
     runs: list[SeedRun | TrainingError] = []
     beats = steadier = failed = 0
     for seed in seeds:
         start = time.perf_counter()
         try:
-            result = run_experiment(config.with_seed(seed), threaded=False)
+            result = run_experiment(
+                config.with_seed(seed), threaded=False, record_trajectory=True
+            )
         except TrainingError as exc:
             runs.append(exc)
             failed += 1
             continue
-        records = evaluate_checkpoints(result.checkpoints, result.test_set, config.model_spec())
+        records = evaluate_checkpoints(
+            replay_checkpoints(result), result.test_set, config.model_spec()
+        )
         runs.append(SeedRun(time.perf_counter() - start, result.final_test_fer, records))
         seed_beats, seed_steadier = shadow_verdicts(result.final_test_fer, records)
         beats += seed_beats

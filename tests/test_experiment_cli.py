@@ -11,19 +11,20 @@ from hypothesis import strategies as st
 
 from blocktrain import experiment, metrics
 from blocktrain.cli import main
-from blocktrain.cluster import Cluster
+from blocktrain.cluster import TRANSPORTS, Cluster
 from blocktrain.data import generate_corpus, stack_frames
 from blocktrain.experiment import (
     ConfigError,
     ExperimentConfig,
     TrainingError,
+    replay_checkpoints,
     run_experiment,
     shadow_study,
     write_run_artifacts,
 )
 from blocktrain.metrics import evaluate_checkpoints, shadow_verdicts
 from blocktrain.models import init_params
-from blocktrain.numerics import substream
+from blocktrain.numerics import ParamVector, substream
 from blocktrain.sync import ShadowState, shadow_update
 
 from .faults import inject_faults
@@ -175,35 +176,38 @@ class TestConfigRoundTrip:
 
 class TestRunExperiment:
     def test_tiny_run_shapes(self):
-        result = run_experiment(TINY, threaded=False)
+        result = run_experiment(TINY, threaded=False, record_trajectory=True)
         strategies = 3
         assert len(result.val_records) == TINY.epochs * 4 * strategies
         assert set(result.final_test_fer) == {"bmuf", "ma", "ema"}
         # the last checkpoint is the final state
-        assert result.checkpoints[-3].block_index == result.sync_state.block_index
+        last = replay_checkpoints(result)[-3]
+        assert last.block_index == result.sync_state.block_index
         assert (
-            result.checkpoints[-3].params.values.tobytes()
-            == result.sync_state.global_model.values.tobytes()
+            last.params.values.tobytes() == result.sync_state.global_model.values.tobytes()
         )
         epochs = [r.epoch for r in result.val_records if r.strategy == "bmuf"]
         assert epochs == [0.25, 0.5, 0.75, 1.0]
 
     def test_final_models_match_last_checkpoint(self):
-        result = run_experiment(TINY, threaded=False)
+        result = run_experiment(TINY, threaded=False, record_trajectory=True)
         finals = (
             result.sync_state.global_model,
             result.shadow_state.ma_model,
             result.shadow_state.ema_model,
         )
-        last = result.checkpoints[-3:]
+        last = replay_checkpoints(result)[-3:]
         assert [cp.strategy for cp in last] == ["bmuf", "ma", "ema"]
         for cp, final in zip(last, finals):
             assert cp.params.values.tobytes() == final.values.tobytes()
 
     def test_shadows_disabled_only_bmuf(self):
-        result = run_experiment(TINY, threaded=False, shadows_enabled=False)
+        result = run_experiment(
+            TINY, threaded=False, shadows_enabled=False, record_trajectory=True
+        )
         assert {r.strategy for r in result.val_records} == {"bmuf"}
         assert set(result.final_test_fer) == {"bmuf"}
+        assert {cp.strategy for cp in replay_checkpoints(result)} == {"bmuf"}
 
     @pytest.mark.parametrize("shadows_enabled", [True, False])
     def test_test_set_is_predicted_only_at_the_last_checkpoint(
@@ -222,11 +226,54 @@ class TestRunExperiment:
         k = 3 if shadows_enabled else 1
         assert len(calls) == len(result.val_records) + k
 
+    @pytest.mark.parametrize("record_trajectory", [False, True])
+    def test_run_copies_parameters_only_for_the_trajectory(
+        self, monkeypatch, record_trajectory
+    ):
+        # every checkpoint is evaluated on the live models, so a run keeps
+        # no copy of them; only the recorded trajectory copies, once a block
+        copy = ParamVector.copy
+        calls = []
+
+        def counted(pv):
+            calls.append(None)
+            return copy(pv)
+
+        monkeypatch.setattr(ParamVector, "copy", counted)
+        result = run_experiment(TINY, threaded=False, record_trajectory=record_trajectory)
+        blocks = TINY.epochs * result.blocks_per_epoch
+        assert len(calls) == (blocks if record_trajectory else 0)
+
+    @pytest.mark.parametrize("transport", TRANSPORTS)
+    @pytest.mark.parametrize("threaded", [False, True], ids=["serial", "threaded"])
+    def test_validation_curve_is_evaluated_on_each_checkpoints_own_models(
+        self, monkeypatch, threaded, transport
+    ):
+        # the run evaluates live buffers that the next block overwrites; its
+        # curve must be the one of the models replayed at each checkpoint
+        evaluate = experiment.evaluate_checkpoints
+        eval_sets = []
+
+        def spy(checkpoints, eval_set, spec):
+            eval_sets.append(eval_set)
+            return evaluate(checkpoints, eval_set, spec)
+
+        monkeypatch.setattr(experiment, "evaluate_checkpoints", spy)
+        config = replace(TINY, transport=transport)
+        result = run_experiment(config, threaded=threaded, record_trajectory=True)
+        val_set = eval_sets[0]
+        assert val_set is not result.test_set
+        want = evaluate(replay_checkpoints(result), val_set, config.model_spec())
+        assert [(r.strategy, r.epoch, r.fer.hex()) for r in result.val_records] == [
+            (r.strategy, r.epoch, r.fer.hex()) for r in want
+        ]
+
     def test_shadow_study_curve_ends_at_the_final_models(self):
         (run,) = shadow_study(TINY, [TINY.seed]).runs
-        result = run_experiment(TINY, threaded=False)
+        result = run_experiment(TINY, threaded=False, record_trajectory=True)
         spec = TINY.model_spec()
-        assert run.test_curve == evaluate_checkpoints(result.checkpoints, result.test_set, spec)
+        replayed = replay_checkpoints(result)
+        assert run.test_curve == evaluate_checkpoints(replayed, result.test_set, spec)
         assert [(r.strategy, r.fer.hex()) for r in run.test_curve[-3:]] == [
             (strategy, fer.hex()) for strategy, fer in result.final_test_fer.items()
         ]
@@ -237,7 +284,7 @@ class TestRunExperiment:
 
     def test_checkpoints_keep_their_own_bytes(self):
         # the cluster overwrites its live sync and shadow state every block;
-        # each kept model must be the one of its own block
+        # each replayed checkpoint model must be the one of its own block
         result = run_experiment(TINY, threaded=False, record_trajectory=True)
         theta0 = init_params(TINY.model_spec(), substream(TINY.seed, experiment.TAG_INIT))
         shadow = ShadowState.initial(theta0, TINY.ema_rate)
@@ -245,8 +292,9 @@ class TestRunExperiment:
         for global_model in result.trajectory:
             shadow = shadow_update(shadow, global_model)
             shadows.append(shadow)
-        assert len(result.checkpoints) == TINY.epochs * 4 * 3
-        for cp in result.checkpoints:
+        checkpoints = replay_checkpoints(result)
+        assert len(checkpoints) == TINY.epochs * 4 * 3
+        for cp in checkpoints:
             replay = shadows[cp.block_index - 1]
             want = {
                 "bmuf": result.trajectory[cp.block_index - 1],
