@@ -9,54 +9,15 @@ every synchronization without ever being broadcast back, and compete with the
 raw global model as the final deliverable.
 """
 
-from .cluster import (
-    Cluster,
-    ClusterConfig,
-    ShardPlan,
-    TrainingError,
-    WorkerState,
-    decentralized_aggregate,
-    make_shard_plan,
-)
-from .data import (
-    Corpus,
-    SplitSpec,
-    Utterance,
-    generate_corpus,
-    load_corpus,
-    save_corpus,
-    shard_dataset,
-    split_by_speaker,
-    stack_frames,
-)
-from .experiment import (
-    ConfigError,
-    ExperimentConfig,
-    ExperimentResult,
-    run_experiment,
-    write_run_artifacts,
-)
-from .metrics import EvalRecord, evaluate_checkpoints, frame_error_rate
-from .models import (
-    Batch,
-    LstmSpec,
-    MlpSpec,
-    backward,
-    forward_loss,
-    forward_workspace,
-    init_params,
-    param_count,
-    predict_frames,
-)
-from .numerics import ParamVector, make_rng, mean_reduce, substream
-from .optim import sgd_step
-from .sync import (
-    Checkpoint,
-    ShadowState,
-    SyncState,
-    load_checkpoint,
-    save_checkpoint,
-    shadow_update,
-)
+# every public name is declared once, in its module's __all__; the console
+# script's module, cli, is not part of the library
+from .cluster import *
+from .data import *
+from .experiment import *
+from .metrics import *
+from .models import *
+from .numerics import *
+from .optim import *
+from .sync import *
 
 __version__ = "0.1.0"

@@ -48,7 +48,6 @@ __all__ = [
     "shadow_study",
     "write_run_artifacts",
     "parse_lines",
-    "parse_value",
     "CURVES_HEADER",
     "FINAL_HEADER",
 ]
@@ -207,9 +206,6 @@ class ExperimentConfig:
     def from_text(text: str) -> "ExperimentConfig":
         return ExperimentConfig(**parse_lines(text.splitlines()))
 
-    def to_file(self, path: str | Path) -> None:
-        Path(path).write_text(self.to_text())
-
     @staticmethod
     def from_file(path: str | Path) -> "ExperimentConfig":
         return ExperimentConfig.from_text(Path(path).read_text())
@@ -258,32 +254,26 @@ _FIELD_TYPES = {f.name: f.type for f in fields(ExperimentConfig)}
 
 def parse_lines(lines: Iterable[str]) -> dict[str, object]:
     """Config-file lines parsed into values: ``#`` starts a comment, blank
-    lines are skipped, and a line without ``=``, a repeated key or a value
-    :func:`parse_value` rejects raises :class:`ConfigError` naming the key."""
+    lines are skipped, and a line without ``=``, a repeated or unknown key
+    or an unparsable value raises :class:`ConfigError` naming the key."""
     values: dict[str, object] = {}
     for raw in lines:
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
         key, sep, rendered = line.partition("=")
-        key = key.strip()
+        key, rendered = key.strip(), rendered.strip()
         if not sep:
             raise ConfigError(key or raw.strip(), "expected 'key = value'")
         if key in values:
             raise ConfigError(key, "duplicate key")
-        values[key] = parse_value(key, rendered.strip())
+        if key not in _FIELD_TYPES:
+            raise ConfigError(key, "unknown key")
+        try:
+            values[key] = _TYPE_RULES[_FIELD_TYPES[key]][2](rendered)
+        except ValueError:
+            raise ConfigError(key, f"cannot parse value {rendered!r}") from None
     return values
-
-
-def parse_value(key: str, rendered: str) -> object:
-    """One config value parsed as config files parse it; raises
-    :class:`ConfigError` naming ``key`` if it is unknown or unparsable."""
-    if key not in _FIELD_TYPES:
-        raise ConfigError(key, "unknown key")
-    try:
-        return _TYPE_RULES[_FIELD_TYPES[key]][2](rendered)
-    except ValueError:
-        raise ConfigError(key, f"cannot parse value {rendered!r}") from None
 
 
 # ---------------------------------------------------------------------------

@@ -69,7 +69,7 @@ def write_tiny_config(path, **overrides):
     cfg = TINY
     for key, value in overrides.items():
         cfg = ExperimentConfig(**{**cfg.__dict__, key: value})
-    cfg.to_file(path)
+    path.write_text(cfg.to_text())
     return cfg
 
 
@@ -90,8 +90,16 @@ class TestConfigRoundTrip:
 
     def test_file_round_trip(self, tmp_path):
         path = tmp_path / "exp.cfg"
-        TINY.to_file(path)
+        path.write_text(TINY.to_text())
         assert ExperimentConfig.from_file(path) == TINY
+
+    def test_default_mlp_config_spells_out_the_defaults(self):
+        mlp = ExperimentConfig.from_file(ROOT / "configs" / "default_mlp.cfg")
+        assert mlp == ExperimentConfig()
+
+    def test_default_lstm_config_differs_only_in_model_and_rate(self):
+        lstm = ExperimentConfig.from_file(ROOT / "configs" / "default_lstm.cfg")
+        assert lstm == replace(ExperimentConfig(), model="lstm", learning_rate=0.15)
 
     def test_comments_and_blank_lines_ignored(self):
         cfg = ExperimentConfig.from_text("# hello\n\nmodel = lstm  # trailing\n")
@@ -505,7 +513,7 @@ class TestCliRun:
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_diverging_run_ends_in_one_error_line(self, tmp_path, capsys, flags):
         cfg_path = tmp_path / "exp.cfg"
-        DIVERGING.to_file(cfg_path)
+        cfg_path.write_text(DIVERGING.to_text())
         out = tmp_path / "out"
         code = main(["run", "--config", str(cfg_path), "--out", str(out), *flags])
         captured = capsys.readouterr()

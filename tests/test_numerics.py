@@ -86,18 +86,6 @@ class TestMeanReduce:
         out = mean_reduce([pv] * n)
         assert np.array_equal(out.values, pv.values)
 
-    @given(
-        vs=st.lists(vectors(4), min_size=1, max_size=6),
-        extra=vectors(4),
-    )
-    def test_rebuild_after_add_remove_is_bitwise_identical(self, vs, extra):
-        models = [ParamVector(v) for v in vs]
-        before = mean_reduce(models)
-        models.append(ParamVector(extra))
-        models.pop()
-        after = mean_reduce(models)
-        assert before.values.tobytes() == after.values.tobytes()
-
 
 class TestCenteredMean:
     @given(

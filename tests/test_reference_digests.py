@@ -82,10 +82,10 @@ def test_workload_matches_reference_digest(name, tmp_path):
     them fails here before it reaches the benchmark. The FER values in the
     CSV files do not see last-bit changes in the parameters, so the final
     global, accumulator and shadow models are hashed too. Those digests were
-    recorded at commit e8ceff8 (``src/`` unchanged since 30428e4) with numpy
-    2.4.6 on scipy-openblas 0.3.31, on ``RECORDED_CLASS``; another numpy or
-    BLAS build, or another dispatch class, may change the last bits and so
-    the digests. A mismatch names both classes.
+    recorded at commit e8ceff8 with numpy 2.4.6 on scipy-openblas 0.3.31, on
+    ``RECORDED_CLASS``; ``src/`` has changed since then, the bytes it writes
+    have not. Another numpy or BLAS build, or another dispatch class, may
+    change the last bits and so the digests. A mismatch names both classes.
     """
     reference = json.loads((PERFBENCH / "reference.json").read_text())
     config, threaded = load_workloads().make_config(name, reference["seed"])

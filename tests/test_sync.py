@@ -159,16 +159,6 @@ class TestBmuf:
                 np.testing.assert_allclose(g_t, 0.0, atol=1e-12)
 
 
-class TestModelAverage:
-    def test_identical_models(self):
-        v = pv([1.0, -2.0, 3.5])
-        out = mean_reduce([v, v, v])
-        assert np.array_equal(out.values, v.values)
-
-    def test_two_workers(self):
-        assert np.array_equal(mean_reduce([pv([0.0]), pv([4.0])]).values, [2.0])
-
-
 class TestShadow:
     def test_first_update_sets_ma_exactly(self):
         theta0 = pv([10.0, -3.0])
