@@ -1,21 +1,26 @@
-"""Command line entry points: ``blocktrain run`` and ``blocktrain compare``."""
+"""Command line entry points: ``blocktrain run``, ``blocktrain compare`` and
+``blocktrain sweep``."""
 
 from __future__ import annotations
 
 import argparse
 import csv
 import sys
+from dataclasses import replace
 from pathlib import Path
 from typing import Sequence
 
+from .cluster import TrainingError
 from .experiment import (
     FINAL_HEADER,
     ConfigError,
     ExperimentConfig,
-    TrainingError,
+    parse_lines,
     run_experiment,
+    shadow_study,
     write_run_artifacts,
 )
+from .metrics import curve_spread
 from .sync import STRATEGIES
 
 __all__ = ["main"]
@@ -39,6 +44,16 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     cmp_p = sub.add_parser("compare", help="summarize finished runs against bmuf")
     cmp_p.add_argument("run_dirs", nargs="+", help="run directories holding final.csv")
+    sweep_p = sub.add_parser("sweep", help="run the shadow-model study over seeds 0..N-1")
+    sweep_p.add_argument("--config", required=True, help="path to a key=value config file")
+    sweep_p.add_argument("--seeds", type=int, default=10, help="number of seeds (default 10)")
+    sweep_p.add_argument(
+        "--set",
+        action="append",
+        default=[],
+        metavar="key=value",
+        help="override a config field, as a config-file line would (repeatable)",
+    )
     return parser
 
 
@@ -103,12 +118,45 @@ def _cmd_compare(args: argparse.Namespace) -> int:
     return 0
 
 
+def _cmd_sweep(args: argparse.Namespace) -> int:
+    overrides = parse_lines(args.set)
+    if "seed" in overrides:
+        raise ConfigError("seed", "the sweep's seeds come from --seeds")
+    config = replace(ExperimentConfig.from_text(_read_text(args.config)), **overrides)
+    seeds = range(args.seeds)
+    study = shadow_study(config, seeds)
+    print(f"== {config.model} ==")
+    print("seed  bmuf_fer  ma_fer  ema_fer  ma_spread  ema_spread  secs")
+    for seed, run in zip(seeds, study.runs):
+        if isinstance(run, TrainingError):
+            print(f"{seed:<4d}  error: {run}")
+            continue
+        final = run.final_test_fer
+        spread_ma = curve_spread(run.test_curve, "ma")
+        spread_ema = curve_spread(run.test_curve, "ema")
+        print(
+            f"{seed:<4d}  {final['bmuf']:.4f}    {final['ma']:.4f}  "
+            f"{final['ema']:.4f}   {spread_ma:.5f}    {spread_ema:.5f}     {run.seconds:.1f}"
+        )
+    n = len(seeds)
+    print(
+        f"ema_beats_bmuf: {study.ema_beats_bmuf}/{n}   "
+        f"ema_steadier_than_ma: {study.ema_steadier_than_ma}/{n}"
+    )
+    print(f"failed_seeds: {study.failed_seeds}/{n}")
+    return 3 if study.failed_seeds else 0
+
+
+_COMMANDS = {"run": _cmd_run, "compare": _cmd_compare, "sweep": _cmd_sweep}
+
+
 def main(argv: Sequence[str] | None = None) -> int:
-    args = _build_parser().parse_args(argv)
+    parser = _build_parser()
+    args = parser.parse_args(argv)
+    if args.command == "sweep" and args.seeds < 1:
+        parser.error(f"--seeds must be at least 1, got {args.seeds}")
     try:
-        if args.command == "run":
-            return _cmd_run(args)
-        return _cmd_compare(args)
+        return _COMMANDS[args.command](args)
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

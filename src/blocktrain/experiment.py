@@ -37,7 +37,6 @@ from .sync import STRATEGIES, Checkpoint, ShadowState, SyncState, shadow_update
 
 __all__ = [
     "ConfigError",
-    "TrainingError",
     "ExperimentConfig",
     "ExperimentResult",
     "SeedRun",
@@ -295,8 +294,8 @@ class ExperimentResult:
     test_set: Batch
     final_test_fer: dict[str, float]
     blocks_per_epoch: int
+    sync_state: SyncState
     trajectory: list[ParamVector] | None = None
-    sync_state: SyncState | None = None
     shadow_state: ShadowState | None = None
 
 
@@ -503,7 +502,7 @@ class ShadowStudy:
 def shadow_study(config: ExperimentConfig, seeds: Sequence[int]) -> ShadowStudy:
     """One serial run of ``config`` per seed and its two shadow-model
     verdicts (:func:`metrics.shadow_verdicts`): the metric the acceptance
-    suite checks and ``scripts/seed_sweep.py`` reports. Each run records its
+    suite checks and ``blocktrain sweep`` reports. Each run records its
     trajectory, and its per-checkpoint test curve is evaluated on the
     models :func:`replay_checkpoints` rebuilds from it."""
     runs: list[SeedRun | TrainingError] = []

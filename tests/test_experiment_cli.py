@@ -1,5 +1,4 @@
 import copy
-import importlib.util
 import pickle
 import tracemalloc
 from dataclasses import fields, replace
@@ -9,14 +8,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from blocktrain import experiment, metrics
+from blocktrain import cli, experiment, metrics
 from blocktrain.cli import main
-from blocktrain.cluster import TRANSPORTS, Cluster
+from blocktrain.cluster import TRANSPORTS, Cluster, TrainingError
 from blocktrain.data import generate_corpus, stack_frames
 from blocktrain.experiment import (
     ConfigError,
     ExperimentConfig,
-    TrainingError,
+    ShadowStudy,
     replay_checkpoints,
     run_experiment,
     shadow_study,
@@ -653,21 +652,27 @@ class TestArtifacts:
         assert manifest == TINY
 
 
-def load_seed_sweep():
-    path = Path(__file__).resolve().parent.parent / "scripts" / "seed_sweep.py"
-    spec = importlib.util.spec_from_file_location("seed_sweep", path)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
+def sweep(argv, config=ROOT / "configs" / "default_mlp.cfg"):
+    """The exit status of ``blocktrain sweep --config config *argv``, also
+    when argparse stops it."""
+    try:
+        return main(["sweep", "--config", str(config), *argv])
+    except SystemExit as stop:
+        return stop.code
 
 
 class TestSeedSweepOverrides:
-    def test_values_parse_like_config_files(self):
-        sweep = load_seed_sweep()
-        overrides = sweep.parse_overrides(["reset_momentum=false", "mlp_hidden=4,5"])
-        assert overrides == {"reset_momentum": False, "mlp_hidden": (4, 5)}
-        config = sweep.load_configs(["mlp"], overrides)["mlp"]
-        assert config.reset_momentum is False
+    def test_values_parse_like_config_files(self, monkeypatch):
+        configs = []
+
+        def no_runs(config, seeds):
+            configs.append(config)
+            return ShadowStudy([], 0, 0, 0)
+
+        monkeypatch.setattr(cli, "shadow_study", no_runs)
+        assert sweep(["--set", "reset_momentum=false", "--set", "mlp_hidden=4,5"]) == 0
+        default = ExperimentConfig.from_file(ROOT / "configs" / "default_mlp.cfg")
+        assert configs == [replace(default, reset_momentum=False, mlp_hidden=(4, 5))]
 
     @pytest.mark.parametrize(
         "argv, message",
@@ -680,7 +685,6 @@ class TestSeedSweepOverrides:
             # the sweep replaces the seed with each of its own, so an
             # override would be silently dropped
             (["--set", "seed=5"], "error: config key 'seed': the sweep's seeds come from --seeds"),
-            (["--models", "mlp,gpt"], "error: config key 'model': unknown model 'gpt'"),
             # valid on its own; only the run finds more workers than utterances
             (["--set", "num_workers=2000"], "error: config key 'num_workers': more workers"),
             (["--seeds", "0"], "error: --seeds must be at least 1"),
@@ -688,11 +692,16 @@ class TestSeedSweepOverrides:
         ],
     )
     def test_bad_argument_is_named_and_exits_2(self, argv, message, capsys):
-        with pytest.raises(SystemExit) as stop:
-            load_seed_sweep().main(["--seeds", "1", "--models", "mlp", *argv])
-        assert stop.value.code == 2
+        assert sweep(["--seeds", "1", *argv]) == 2
         captured = capsys.readouterr()
         assert message in captured.err
+        assert captured.out == ""
+
+    def test_missing_config_fails_naming_the_file(self, tmp_path, capsys):
+        missing = tmp_path / "nope.cfg"
+        assert sweep(["--seeds", "1"], config=missing) == 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: ") and str(missing) in captured.err
         assert captured.out == ""
 
 
@@ -700,9 +709,7 @@ class TestSeedSweepFailures:
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_diverging_seeds_reported_and_sweep_continues(self, capsys):
         overrides = ["learning_rate=1e306", "momentum=0.99", "epochs=1"]
-        load_seed_sweep().main(
-            ["--seeds", "2", "--models", "mlp"] + [a for o in overrides for a in ("--set", o)]
-        )
+        assert sweep(["--seeds", "2"] + [a for o in overrides for a in ("--set", o)]) == 3
         lines = capsys.readouterr().out.splitlines()
         failures = [line for line in lines if "error: " in line]
         assert [line.split()[0] for line in failures] == ["0", "1"]
@@ -711,7 +718,6 @@ class TestSeedSweepFailures:
         assert "failed_seeds: 2/2" in lines
 
     def test_failed_seed_counts_toward_neither_verdict(self, capsys, monkeypatch):
-        sweep = load_seed_sweep()
         studies = []
 
         def seed_0_fails(config, **kw):
@@ -724,14 +730,16 @@ class TestSeedSweepFailures:
             return studies[-1]
 
         monkeypatch.setattr(experiment, "run_experiment", seed_0_fails)
-        monkeypatch.setattr(sweep, "shadow_study", kept)
-        sweep.main(["--seeds", "2", "--models", "mlp", "--set", "epochs=1"])
+        monkeypatch.setattr(cli, "shadow_study", kept)
+        assert sweep(["--seeds", "2", "--set", "epochs=1"]) == 3
         lines = capsys.readouterr().out.splitlines()
         (study,) = studies
         error, run = study.runs
         beats, steadier = shadow_verdicts(run.final_test_fer, run.test_curve)
         assert (study.ema_beats_bmuf, study.ema_steadier_than_ma) == (beats, steadier)
         assert study.failed_seeds == 1 and isinstance(error, TrainingError)
+        assert lines[0] == "== mlp =="
+        assert lines[1] == "seed  bmuf_fer  ma_fer  ema_fer  ma_spread  ema_spread  secs"
         assert lines[2] == "0     error: block 3, worker 2: boom"
         assert lines[3].startswith("1  ")
         assert f"ema_beats_bmuf: {beats:d}/2   ema_steadier_than_ma: {steadier:d}/2" in lines

@@ -56,10 +56,16 @@ ROOT_NAMES = (
 def test_every_public_name_imports_from_the_root():
     # ``cli`` is the console script's module, not part of the library
     names = [m.name for m in pkgutil.iter_modules(blocktrain.__path__) if m.name != "cli"]
+    declared = []
     for name in names:
         module = importlib.import_module(f"blocktrain.{name}")
+        declared += module.__all__
         for public in module.__all__:
             assert getattr(blocktrain, public) is getattr(module, public), f"{name}.{public}"
+    # each name is declared by one module, so the root's star imports bind it once
+    assert len(declared) == len(set(declared)), sorted(
+        public for public in set(declared) if declared.count(public) > 1
+    )
 
 
 def test_names_the_root_exported_before_stay():
