@@ -7,7 +7,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .models import Batch, ModelSpec, forward_workspace, predict_frames
+from .models import Batch, ModelSpec, predict_frames
 from .sync import Checkpoint
 
 __all__ = [
@@ -52,22 +52,23 @@ def evaluate_checkpoints(
 
     Evaluation is read-only: parameters are immutable and only the forward
     pass runs. Every checkpoint is predicted on ``eval_set`` itself, which
-    was checked once when it was built, and every checkpoint's forward writes
-    into one workspace, so the activations are allocated once per call, not
-    once per checkpoint.
+    was checked once when it was built.
     """
-    workspace = forward_workspace(spec, eval_set.num_frames)
     records = []
     for cp in checkpoints:
-        preds = predict_frames(spec, cp.params, eval_set, workspace=workspace)
+        preds = predict_frames(spec, cp.params, eval_set)
         fer = frame_error_rate(preds, eval_set.targets)
         records.append(EvalRecord(cp.strategy, cp.epoch, fer))
     return records
 
 
 def curve_spread(records: Sequence[EvalRecord], strategy: str) -> float:
-    """Standard deviation of one strategy's FER series."""
-    return float(np.std([r.fer for r in records if r.strategy == strategy]))
+    """Standard deviation of one strategy's FER series; a ValueError naming
+    ``strategy`` when no record has it."""
+    fers = [r.fer for r in records if r.strategy == strategy]
+    if not fers:
+        raise ValueError(f"no {strategy!r} records to take the spread of")
+    return float(np.std(fers))
 
 
 def shadow_verdicts(

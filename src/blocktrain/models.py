@@ -15,11 +15,10 @@ logits. :class:`Batch` is the one checked model input: the corpus's
 utterances validate through it, and every operation takes one. The recurrent
 model runs exact backpropagation through time within each sequence, resets
 its state at sequence boundaries, and runs equal-length sequences as one
-batch; prediction keeps no BPTT caches. An MLP forward can write its layer
-outputs into a caller's workspace (:func:`forward_workspace`), so that
-evaluating many checkpoints on one set allocates its activations once, and
-:func:`backward` can write the gradient into a caller's buffer, so that a
-training worker allocates no parameter-sized array per step.
+batch; prediction keeps no BPTT caches. Each MLP layer's bias add and
+sigmoid overwrite the array its matmul just made, and :func:`backward` can
+write the gradient into a caller's buffer, so that a training worker
+allocates no parameter-sized array per step.
 
 Parameter packing (row-major, in order): ``_layout(spec)`` lists the
 ``(rows, cols)`` of every layer, packed as ``W (rows, cols)`` then ``b (cols,)``;
@@ -55,7 +54,6 @@ __all__ = [
     "forward_loss",
     "backward",
     "predict_frames",
-    "forward_workspace",
 ]
 
 
@@ -204,7 +202,7 @@ def _softmax_ce(logits: np.ndarray, targets: np.ndarray) -> tuple[np.ndarray, np
 @cache
 def _layout(spec: ModelSpec) -> tuple[tuple[int, int], ...]:
     """``(rows, cols)`` of every packed layer in packing order; the parameter
-    count, the views, the initialisation and the MLP workspace all read it."""
+    count, the views and the initialisation all read it."""
     if isinstance(spec, MlpSpec):
         sizes = spec.layer_sizes
         return tuple(zip(sizes, sizes[1:]))
@@ -279,30 +277,18 @@ def _length_groups(lengths: Sequence[int]) -> dict[int, list[tuple[int, int]]]:
 # MLP forward/backprop
 
 
-def forward_workspace(spec: ModelSpec, rows: int) -> list[np.ndarray] | None:
-    """Output arrays for every layer of an MLP forward over ``rows`` frames,
-    to pass as ``workspace`` to :func:`predict_frames`; ``None`` for an LSTM,
-    whose forward always allocates."""
-    if not isinstance(spec, MlpSpec):
-        return None
-    return [np.empty((rows, cols)) for _, cols in _layout(spec)]
-
-
 def _mlp_forward(
-    layers: list[tuple[np.ndarray, np.ndarray]],
-    batch: Batch,
-    out: list[np.ndarray] | None = None,
+    layers: list[tuple[np.ndarray, np.ndarray]], batch: Batch
 ) -> tuple[np.ndarray, list[np.ndarray]]:
     """Logits plus every layer's input activations, for the weight views
     ``layers`` (:func:`_views`).
 
-    Layer ``l`` writes its output into ``out[l]`` when given (see
-    :func:`forward_workspace`), else into a fresh array; the matmul is the
-    same BLAS call either way, so the bits are too.
+    Each layer's matmul makes a fresh array, which the bias add and the
+    sigmoid then overwrite in place.
     """
     acts = [batch.inputs]
     for idx, (w, b) in enumerate(layers):
-        z = np.matmul(acts[-1], w, out=None if out is None else out[idx])
+        z = acts[-1] @ w
         z += b
         acts.append(z if idx == len(layers) - 1 else _sigmoid(z, out=z))
     return acts.pop(), acts
@@ -445,19 +431,16 @@ def _forward(
     params: ParamVector | np.ndarray,
     batch: Batch,
     keep_cache: bool = False,
-    workspace: list[np.ndarray] | None = None,
 ) -> tuple[np.ndarray, Callable[[np.ndarray, np.ndarray], None]]:
     """Logits in frame order plus ``backprop(delta, gvec)``, which writes the
     gradient for the logit error ``delta`` into all of ``gvec``; it needs
-    ``keep_cache=True``, without which the recurrent model keeps no caches.
-    An MLP writes its layer outputs, logits included, into ``workspace``
-    when given."""
+    ``keep_cache=True``, without which the recurrent model keeps no caches."""
     _check_call(spec, params, batch)
     values = params.values if isinstance(params, ParamVector) else params
     # the backprop reuses the forward's weight views
     views = _views(spec, values)
     if isinstance(spec, MlpSpec):
-        logits, acts = _mlp_forward(views, batch, workspace)
+        logits, acts = _mlp_forward(views, batch)
         return logits, partial(_mlp_backprop, spec, views, acts)
     logits, groups = _lstm_forward(spec, views, batch, keep_cache)
     return logits, partial(_lstm_backprop, spec, views, groups)
@@ -502,20 +485,14 @@ def backward(
 
 
 def predict_frames(
-    spec: ModelSpec,
-    params: ParamVector | np.ndarray,
-    batch: Batch,
-    *,
-    workspace: list[np.ndarray] | None = None,
+    spec: ModelSpec, params: ParamVector | np.ndarray, batch: Batch
 ) -> np.ndarray:
     """Most likely class per frame of ``batch``; ties resolve to the lowest
     class index.
 
     Only the inputs and the sequence segmentation feed the forward; the
     targets are checked like every operation's, not read. Softmax is
-    monotone, so the argmax is taken on the logits directly. ``workspace`` is
-    :func:`forward_workspace` for this spec and frame count; the forward
-    overwrites it, and the returned predictions are a fresh array either way.
+    monotone, so the argmax is taken on the logits directly.
     """
-    logits, _ = _forward(spec, params, batch, workspace=workspace)
+    logits, _ = _forward(spec, params, batch)
     return np.argmax(logits, axis=1)

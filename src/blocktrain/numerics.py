@@ -33,7 +33,6 @@ __all__ = [
     "centered_mean",
     "mean_reduce",
     "as_rows",
-    "make_rng",
     "substream",
 ]
 
@@ -141,11 +140,6 @@ def mean_reduce(
     out = np.empty(length) if out is None else out
     centered_mean(rows, out, np.empty(length) if work is None else work[0])
     return ParamVector(frozen(out.view()))
-
-
-def make_rng(seed: int) -> np.random.Generator:
-    """Philox stream for ``seed``; identical seed, identical stream."""
-    return substream(seed)
 
 
 def substream(seed: int, *tags: int) -> np.random.Generator:

@@ -17,7 +17,7 @@ from blocktrain.cli import main
 from blocktrain.cluster import decentralized_aggregate, make_shard_plan
 from blocktrain.experiment import ExperimentConfig, run_experiment, shadow_study
 from blocktrain.models import Batch, LstmSpec, MlpSpec, backward, init_params
-from blocktrain.numerics import ParamVector, make_rng, mean_reduce
+from blocktrain.numerics import ParamVector, mean_reduce, substream
 from blocktrain.sync import ShadowState, SyncState, bmuf_apply, shadow_update
 
 from .oracles import finite_difference_gradient, max_rel_err
@@ -111,7 +111,7 @@ def test_04_analytic_gradients_match_finite_differences():
     with verdict(4, "analytic gradients vs central differences (rel err <= 1e-5)"):
         worst = 0.0
         for seed in range(20):
-            rng = make_rng(seed)
+            rng = substream(seed)
             for spec, dim, classes, lengths in (
                 (MlpSpec((8, 6, 4)), 8, 4, ()),
                 (LstmSpec(6, 5, 1, 3), 6, 3, (5, 5)),

@@ -21,7 +21,7 @@ from blocktrain.cluster import (
     make_shard_plan,
 )
 from blocktrain.models import Batch, LstmSpec, MlpSpec, backward, init_params, param_count
-from blocktrain.numerics import ParamVector, make_rng, mean_reduce, substream
+from blocktrain.numerics import ParamVector, mean_reduce, substream
 from blocktrain.optim import sgd_step
 from blocktrain.sync import ShadowState, SyncState
 
@@ -165,7 +165,7 @@ def tiny_setup(
 ):
     """A small 2-class problem with one batch (two 3-frame sequences) per
     worker utterance."""
-    rng = make_rng(seed)
+    rng = substream(seed)
     theta0 = init_params(spec, rng)
     workers = []
     for i in range(n_workers):
@@ -261,7 +261,7 @@ def diverging(setup, indices):
     within the block."""
     spec, workers, sync, shadow, config = setup
     workers = [
-        WorkerState(i, (DIVERGE[0],), make_rng(i)) if i in indices else w
+        WorkerState(i, (DIVERGE[0],), substream(i)) if i in indices else w
         for i, w in enumerate(workers)
     ]
     return spec, workers, sync, shadow, replace(config, momentum=0.9)
@@ -369,7 +369,7 @@ class TestCluster:
     def test_single_worker_degenerate_equals_plain_sgd(self):
         # one worker, one batch, eta=0, zeta=1: a block of k steps must equal
         # k bare optimizer steps, and averaging must be a no-op
-        rng = make_rng(123)
+        rng = substream(123)
         spec = MlpSpec((3, 4, 2))
         theta0 = init_params(spec, rng)
         batch = Batch(rng.normal(size=(5, 3)), rng.integers(2, size=5))
@@ -496,7 +496,7 @@ class TestCluster:
 
     def test_empty_shard_rejected(self):
         with pytest.raises(ValueError, match="empty shard"):
-            WorkerState(0, (), make_rng(0))
+            WorkerState(0, (), substream(0))
 
     @given(
         seed=st.integers(0, 2**32 - 1),
@@ -510,14 +510,14 @@ class TestCluster:
         # seeds draw equal sequences, however their draws interleave
         batches = tuple(Batch(np.zeros((1, 4)), np.array([0])) for _ in range(n))
         position = {id(b): k for k, b in enumerate(batches)}
-        rng = make_rng(seed)
+        rng = substream(seed)
         want = [int(k) for _ in range(len(turns) + 3) for k in rng.permutation(n)]
-        solo = WorkerState(0, batches, make_rng(seed))
+        solo = WorkerState(0, batches, substream(seed))
         got = [position[id(solo.next_batch())] for _ in range(3 * n)]
         assert got == want[: 3 * n]
         for p in range(3):
             assert sorted(got[p * n : (p + 1) * n]) == list(range(n))
-        pair = [WorkerState(i, batches, make_rng(seed)) for i in range(2)]
+        pair = [WorkerState(i, batches, substream(seed)) for i in range(2)]
         drawn = ([], [])
         for turn in turns:
             drawn[turn].append(position[id(pair[turn].next_batch())])
@@ -555,7 +555,7 @@ class TestCluster:
         spec, workers, sync, shadow, config = tiny_setup(2, transport)
         # momentum 0.9 lets DIVERGE's velocity overflow within the block
         config = replace(config, momentum=0.9)
-        workers[1] = WorkerState(1, (bad,), make_rng(0))
+        workers[1] = WorkerState(1, (bad,), substream(0))
         setup = spec, workers, sync, shadow, config
         failure = block_failure(setup, threaded, {1: velocity})
         assert isinstance(failure.__cause__, ValueError)
@@ -711,7 +711,7 @@ class TestCluster:
         # the cluster owns, so a warmed-up block allocates far less than one
         # parameter vector
         spec = MlpSpec((36, 256, 256, 8))
-        rng = make_rng(41)
+        rng = substream(41)
         theta0 = init_params(spec, rng)
         workers = [
             WorkerState(

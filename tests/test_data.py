@@ -15,13 +15,13 @@ from blocktrain.data import (
     stack_frames,
 )
 from blocktrain.models import Batch
-from blocktrain.numerics import make_rng
+from blocktrain.numerics import substream
 
 from .oracles import corpus_reference
 
 
 def small_corpus(seed, speakers=6, utts=2, frames=10, dim=3, classes=4):
-    return generate_corpus(speakers, utts, frames, dim, classes, make_rng(seed))
+    return generate_corpus(speakers, utts, frames, dim, classes, substream(seed))
 
 
 class TestUtterance:
@@ -65,13 +65,13 @@ class TestGenerateCorpus:
             assert np.array_equal(ua.labels, ub.labels)
 
     def test_single_class_labels_all_zero(self):
-        corpus = generate_corpus(3, 2, 8, 2, 1, make_rng(0))
+        corpus = generate_corpus(3, 2, 8, 2, 1, substream(0))
         for u in corpus.utterances:
             assert np.array_equal(u.labels, np.zeros(8, dtype=np.int64))
 
     def test_counts_validated(self):
         with pytest.raises(ValueError, match=">= 1"):
-            generate_corpus(0, 1, 5, 2, 2, make_rng(0))
+            generate_corpus(0, 1, 5, 2, 2, substream(0))
 
     @given(
         seed=st.integers(0, 2**32 - 1),
@@ -87,8 +87,8 @@ class TestGenerateCorpus:
         self, seed, speakers, utts, frames, dim, classes, change
     ):
         args = (speakers, utts, frames, dim, classes)
-        corpus = generate_corpus(*args, make_rng(seed), label_change_prob=change)
-        expected = corpus_reference(*args, make_rng(seed), label_change_prob=change)
+        corpus = generate_corpus(*args, substream(seed), label_change_prob=change)
+        expected = corpus_reference(*args, substream(seed), label_change_prob=change)
         assert len(corpus) == len(expected)
         for u, (speaker, want_frames, want_labels) in zip(corpus.utterances, expected):
             assert u.speaker == speaker
@@ -97,7 +97,7 @@ class TestGenerateCorpus:
             assert u.labels.tobytes() == want_labels.tobytes()
 
     def test_linear_classifier_beats_chance(self):
-        corpus = generate_corpus(10, 4, 30, 8, 5, make_rng(1))
+        corpus = generate_corpus(10, 4, 30, 8, 5, substream(1))
         frames = np.concatenate([u.frames for u in corpus.utterances])
         labels = np.concatenate([u.labels for u in corpus.utterances])
         onehot = np.eye(5)[labels]
@@ -111,19 +111,19 @@ class TestGenerateCorpus:
 class TestSplitBySpeaker:
     def test_exact_sizes_with_round_half_up(self):
         corpus = small_corpus(5, speakers=10)
-        train, val, test = split_by_speaker(corpus, SplitSpec(0.8, 0.1, 0.1), make_rng(2))
+        train, val, test = split_by_speaker(corpus, SplitSpec(0.8, 0.1, 0.1), substream(2))
         assert (len(train.speakers), len(val.speakers), len(test.speakers)) == (8, 1, 1)
 
     def test_everything_in_train(self):
         corpus = small_corpus(6)
-        train, val, test = split_by_speaker(corpus, SplitSpec(1.0, 0.0, 0.0), make_rng(2))
+        train, val, test = split_by_speaker(corpus, SplitSpec(1.0, 0.0, 0.0), substream(2))
         assert len(train) == len(corpus)
         assert len(val) == 0 and len(test) == 0
 
     def test_needs_three_speakers(self):
         corpus = small_corpus(7, speakers=2)
         with pytest.raises(ValueError, match="at least 3 speakers"):
-            split_by_speaker(corpus, SplitSpec(), make_rng(0))
+            split_by_speaker(corpus, SplitSpec(), substream(0))
 
     def test_fraction_validation(self):
         with pytest.raises(ValueError, match="sum to 1"):
@@ -140,8 +140,8 @@ class TestSplitBySpeaker:
     def test_speaker_sets_pairwise_disjoint_and_complete(self, seed, speakers, train):
         rest = 1.0 - train
         spec = SplitSpec(train, rest / 2, rest / 2)
-        corpus = generate_corpus(speakers, 1, 4, 2, 2, make_rng(seed))
-        parts = split_by_speaker(corpus, spec, make_rng(seed + 1))
+        corpus = generate_corpus(speakers, 1, 4, 2, 2, substream(seed))
+        parts = split_by_speaker(corpus, spec, substream(seed + 1))
         sets = [set(p.speakers) for p in parts]
         assert sets[0] | sets[1] | sets[2] == set(corpus.speakers)
         assert not (sets[0] & sets[1] or sets[0] & sets[2] or sets[1] & sets[2])
@@ -202,14 +202,14 @@ class TestStackFrames:
 class TestShardDataset:
     def test_single_shard_is_input(self):
         corpus = small_corpus(1)
-        (shard,) = shard_dataset(corpus, 1, make_rng(0))
+        (shard,) = shard_dataset(corpus, 1, substream(0))
         assert sorted(id(u) for u in shard.utterances) == sorted(
             id(u) for u in corpus.utterances
         )
 
     def test_ten_utterances_eight_workers(self):
-        corpus = generate_corpus(10, 1, 4, 2, 2, make_rng(3))
-        shards = shard_dataset(corpus, 8, make_rng(1))
+        corpus = generate_corpus(10, 1, 4, 2, 2, substream(3))
+        shards = shard_dataset(corpus, 8, substream(1))
         assert sorted((len(s) for s in shards), reverse=True) == [2, 2, 1, 1, 1, 1, 1, 1]
 
     @given(
@@ -219,14 +219,14 @@ class TestShardDataset:
     )
     @settings(max_examples=60, deadline=None)
     def test_union_is_exact_partition(self, n, utts, seed):
-        rng = make_rng(seed)
+        rng = substream(seed)
         corpus = Corpus(
             tuple(
                 Utterance(i, rng.normal(size=(2, 2)), np.zeros(2, dtype=int))
                 for i in range(utts)
             )
         )
-        shards = shard_dataset(corpus, n, make_rng(seed + 1))
+        shards = shard_dataset(corpus, n, substream(seed + 1))
         seen = [id(u) for s in shards for u in s.utterances]
         assert sorted(seen) == sorted(id(u) for u in corpus.utterances)
         sizes = [len(s) for s in shards]

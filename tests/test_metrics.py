@@ -7,12 +7,13 @@ from blocktrain import metrics
 from blocktrain.data import generate_corpus, stack_frames
 from blocktrain.metrics import (
     EvalRecord,
+    curve_spread,
     evaluate_checkpoints,
     frame_error_rate,
     shadow_verdicts,
 )
 from blocktrain.models import Batch, LstmSpec, MlpSpec, init_params, predict_frames
-from blocktrain.numerics import ParamVector, make_rng
+from blocktrain.numerics import ParamVector, substream
 from blocktrain.sync import Checkpoint
 
 
@@ -50,7 +51,7 @@ class TestFrameErrorRate:
 
 
 def eval_batch_from_corpus(seed=0, classes=5):
-    corpus = generate_corpus(8, 3, 24, 4, classes, make_rng(seed))
+    corpus = generate_corpus(8, 3, 24, 4, classes, substream(seed))
     parts = [stack_frames(u.frames, u.labels, 2) for u in corpus.utterances]
     return Batch(
         np.concatenate([p[0] for p in parts]),
@@ -62,7 +63,7 @@ def eval_batch_from_corpus(seed=0, classes=5):
 class TestEvaluateCheckpoints:
     def test_record_shape_four_epochs_four_checkpoints(self):
         spec = MlpSpec((8, 6, 5))
-        rng = make_rng(1)
+        rng = substream(1)
         batch = eval_batch_from_corpus()
         checkpoints = []
         for e in range(4):
@@ -78,7 +79,7 @@ class TestEvaluateCheckpoints:
 
     def test_identical_params_identical_fer(self):
         spec = MlpSpec((8, 6, 5))
-        params = init_params(spec, make_rng(3))
+        params = init_params(spec, substream(3))
         batch = eval_batch_from_corpus()
         records = evaluate_checkpoints(
             [Checkpoint("bmuf", 1, 0.25, params), Checkpoint("ema", 1, 0.25, params)],
@@ -93,14 +94,14 @@ class TestEvaluateCheckpoints:
         batch = eval_batch_from_corpus(seed=7, classes=classes)
         fers = []
         for seed in range(5):
-            params = init_params(spec, make_rng(100 + seed))
+            params = init_params(spec, substream(100 + seed))
             (record,) = evaluate_checkpoints([Checkpoint("bmuf", 1, 1.0, params)], batch, spec)
             fers.append(record.fer)
         assert abs(np.mean(fers) - (1.0 - 1.0 / classes)) <= 0.05
 
     def test_evaluation_does_not_mutate_params(self):
         spec = MlpSpec((8, 6, 5))
-        params = init_params(spec, make_rng(9))
+        params = init_params(spec, substream(9))
         before = params.values.tobytes()
         batch = eval_batch_from_corpus()
         evaluate_checkpoints([Checkpoint("ma", 2, 0.5, params)], batch, spec)
@@ -110,7 +111,7 @@ class TestEvaluateCheckpoints:
         "spec", [MlpSpec((8, 6, 5)), MlpSpec((8, 64, 64, 5)), LstmSpec(8, 4, 2, 5)]
     )
     def test_records_equal_fresh_allocation_loop(self, spec):
-        rng = make_rng(11)
+        rng = substream(11)
         batch = eval_batch_from_corpus()
         checkpoints = [
             Checkpoint(strategy, q, q / 4, init_params(spec, rng))
@@ -130,32 +131,17 @@ class TestEvaluateCheckpoints:
         ]
         assert evaluate_checkpoints(checkpoints, batch, spec) == want
 
-    def test_one_workspace_for_every_checkpoint(self, monkeypatch):
-        seen = []
-
-        def spy(*args, workspace=None):
-            seen.append(workspace)
-            return predict_frames(*args, workspace=workspace)
-
-        monkeypatch.setattr(metrics, "predict_frames", spy)
-        spec = MlpSpec((8, 6, 5))
-        rng = make_rng(13)
-        checkpoints = [Checkpoint("bmuf", q, q / 4, init_params(spec, rng)) for q in (1, 2, 3)]
-        evaluate_checkpoints(checkpoints, eval_batch_from_corpus(), spec)
-        assert len(seen) == 3 and seen[0] is not None
-        assert all(w is seen[0] for w in seen)
-
     def test_every_checkpoint_predicts_on_the_eval_batch_itself(self, monkeypatch):
         # the set is checked once, when it is built, not rebuilt per checkpoint
         seen = []
 
-        def spy(spec, params, batch, *, workspace=None):
+        def spy(spec, params, batch):
             seen.append(batch)
-            return predict_frames(spec, params, batch, workspace=workspace)
+            return predict_frames(spec, params, batch)
 
         monkeypatch.setattr(metrics, "predict_frames", spy)
         spec = LstmSpec(8, 4, 2, 5)
-        rng = make_rng(17)
+        rng = substream(17)
         checkpoints = [Checkpoint("ema", q, q / 4, init_params(spec, rng)) for q in (1, 2)]
         batch = eval_batch_from_corpus()
         evaluate_checkpoints(checkpoints, batch, spec)
@@ -169,6 +155,15 @@ class TestEvaluateCheckpoints:
             evaluate_checkpoints(
                 [Checkpoint("bmuf", 1, 0.25, ParamVector.zeros(10))], batch, spec
             )
+
+
+class TestCurveSpread:
+    def test_missing_strategy_raises_naming_it(self):
+        # the validation curve of a run with shadows disabled holds only bmuf
+        records = [EvalRecord("bmuf", 0.25 * q, 0.5 - 0.1 * q) for q in (1, 2, 3)]
+        assert curve_spread(records, "bmuf") == pytest.approx(np.std([0.4, 0.3, 0.2]))
+        with pytest.raises(ValueError, match="'ema'"):
+            curve_spread(records, "ema")
 
 
 class TestShadowVerdicts:
@@ -188,3 +183,9 @@ class TestShadowVerdicts:
         assert shadow_verdicts({"bmuf": 0.2, "ema": 0.3}, steady) == (False, True)
         unsteady = self.records([0.3, 0.25], [0.6, 0.2])
         assert shadow_verdicts({"bmuf": 0.3, "ema": 0.2}, unsteady) == (True, False)
+
+    def test_curve_without_ma_raises_instead_of_a_false_verdict(self):
+        # a nan spread would compare False and read as "EMA is not steadier"
+        ema_only = [r for r in self.records([0.6, 0.2], [0.3, 0.25]) if r.strategy == "ema"]
+        with pytest.raises(ValueError, match="'ma'"):
+            shadow_verdicts({"bmuf": 0.2, "ema": 0.3}, ema_only)

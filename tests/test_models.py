@@ -16,12 +16,11 @@ from blocktrain.models import (
     _views,
     backward,
     forward_loss,
-    forward_workspace,
     init_params,
     param_count,
     predict_frames,
 )
-from blocktrain.numerics import ParamVector, make_rng
+from blocktrain.numerics import ParamVector, substream
 
 from .oracles import (
     finite_difference_gradient,
@@ -146,16 +145,17 @@ class TestSpecs:
         assert param_count(lstm) == 104
 
 
+MLP_SPECS = st.lists(st.integers(1, 40), min_size=2, max_size=5).map(
+    lambda sizes: MlpSpec(tuple(sizes))
+)
 SPECS = st.one_of(
-    st.lists(st.integers(1, 40), min_size=2, max_size=5).map(
-        lambda sizes: MlpSpec(tuple(sizes))
-    ),
+    MLP_SPECS,
     st.builds(
         LstmSpec, st.integers(1, 40), st.integers(1, 36), st.integers(1, 3), st.integers(1, 9)
     ),
 )
 
-# sha256 of ``init_params(spec, make_rng(0))`` bytes, recorded at commit 68284af
+# sha256 of ``init_params(spec, substream(0))`` bytes, recorded at commit 68284af
 # (numpy 2.4.6), before the packing was read from one layout table
 INIT_DIGESTS = [
     (MlpSpec((36, 32, 8)), "e3d89e04265a8bdc2bba1d020fff51ae8ebed9509ec889545cd9772c29136357"),
@@ -176,7 +176,7 @@ class TestLayout:
         assert all(np.shares_memory(a, arr) for view in views for a in view)
         flat = np.concatenate([a.ravel() for view in views for a in view])
         assert np.array_equal(flat, arr)
-        values = init_params(spec, make_rng(seed)).values
+        values = init_params(spec, substream(seed)).values
         assert len(values) == n
         # biases are zero except the LSTM forget slices, which are one
         for idx, (_, b) in enumerate(_views(spec, values)):
@@ -187,20 +187,20 @@ class TestLayout:
 
     @pytest.mark.parametrize("spec, digest", INIT_DIGESTS)
     def test_init_params_bytes_pinned(self, spec, digest):
-        values = init_params(spec, make_rng(0)).values
+        values = init_params(spec, substream(0)).values
         assert hashlib.sha256(values.tobytes()).hexdigest() == digest
 
 
 class TestInit:
     def test_deterministic(self):
         spec = LstmSpec(5, 4, 2, 3)
-        a = init_params(spec, make_rng(11))
-        b = init_params(spec, make_rng(11))
+        a = init_params(spec, substream(11))
+        b = init_params(spec, substream(11))
         assert a.values.tobytes() == b.values.tobytes()
 
     def test_mlp_biases_zero_weights_bounded(self):
         spec = MlpSpec((6, 5, 4))
-        values = init_params(spec, make_rng(0)).values
+        values = init_params(spec, substream(0)).values
         w1 = values[:30]
         b1 = values[30:35]
         assert np.array_equal(b1, np.zeros(5))
@@ -209,7 +209,7 @@ class TestInit:
     def test_lstm_forget_bias_one(self):
         h = 3
         spec = LstmSpec(4, h, 1, 2)
-        values = init_params(spec, make_rng(0)).values
+        values = init_params(spec, substream(0)).values
         b = values[(4 + h) * 4 * h : (4 + h) * 4 * h + 4 * h]
         assert np.array_equal(b[h : 2 * h], np.ones(h))
         assert np.array_equal(b[:h], np.zeros(h))
@@ -218,7 +218,7 @@ class TestInit:
 
 class TestForwardLoss:
     def test_zero_params_gives_log_k(self):
-        rng = make_rng(3)
+        rng = substream(3)
         for spec in (MlpSpec((4, 3, 5)), LstmSpec(4, 3, 2, 5)):
             batch = random_batch(rng, 12, 4, 5, (6, 6))
             zero = ParamVector.zeros(param_count(spec))
@@ -228,11 +228,11 @@ class TestForwardLoss:
         spec = MlpSpec((4, 3))
         values = np.zeros(param_count(spec))
         values[12] = 50.0  # bias of class 0 after the 4x3 weight block
-        batch = Batch(make_rng(1).normal(size=(8, 4)), np.zeros(8, dtype=int))
+        batch = Batch(substream(1).normal(size=(8, 4)), np.zeros(8, dtype=int))
         assert forward_loss(spec, ParamVector(values), batch) <= 1e-6
 
     def test_mlp_matches_straight_line_reference(self):
-        rng = make_rng(42)
+        rng = substream(42)
         spec = MlpSpec((5, 7, 4, 3))
         params = init_params(spec, rng)
         batch = random_batch(rng, 11, 5, 3)
@@ -241,7 +241,7 @@ class TestForwardLoss:
         assert got == pytest.approx(want, rel=1e-12)
 
     def test_lstm_matches_straight_line_reference(self):
-        rng = make_rng(43)
+        rng = substream(43)
         spec = LstmSpec(4, 5, 2, 3)
         params = init_params(spec, rng)
         batch = random_batch(rng, 9, 4, 3, (4, 5))
@@ -251,7 +251,7 @@ class TestForwardLoss:
 
     def test_length_mismatch_raises(self):
         spec = MlpSpec((4, 3))
-        batch = random_batch(make_rng(0), 5, 4, 3)
+        batch = random_batch(substream(0), 5, 4, 3)
         with pytest.raises(ValueError, match="length"):
             forward_loss(spec, ParamVector.zeros(7), batch)
 
@@ -262,7 +262,7 @@ class TestForwardLoss:
             forward_loss(spec, ParamVector.zeros(param_count(spec)), batch)
 
     def test_sequence_permutation_invariance(self):
-        rng = make_rng(7)
+        rng = substream(7)
         spec = LstmSpec(3, 4, 1, 2)
         params = init_params(spec, rng)
         a = rng.normal(size=(4, 3))
@@ -278,7 +278,7 @@ class TestForwardLoss:
         assert loss_ab == pytest.approx(loss_ba, rel=1e-12)
 
     def test_softmax_rows_sum_to_one(self):
-        rng = make_rng(5)
+        rng = substream(5)
         logits = rng.normal(scale=8.0, size=(200, 6))
         probs, _ = _softmax_ce(logits, rng.integers(6, size=200))
         np.testing.assert_allclose(probs.sum(axis=1), 1.0, rtol=0, atol=1e-12)
@@ -294,7 +294,7 @@ class TestBackward:
         ],
     )
     def test_matches_finite_differences(self, spec, lengths):
-        rng = make_rng(17)
+        rng = substream(17)
         dim = spec.layer_sizes[0] if isinstance(spec, MlpSpec) else spec.input_dim
         classes = spec.layer_sizes[-1] if isinstance(spec, MlpSpec) else spec.output_dim
         frames = sum(lengths) or 10
@@ -305,7 +305,7 @@ class TestBackward:
         assert max_rel_err(grad, numeric) <= 1e-5
 
     def test_loss_equals_forward_loss_bitwise(self):
-        rng = make_rng(23)
+        rng = substream(23)
         for spec, lengths in ((MlpSpec((4, 6, 3)), ()), (LstmSpec(4, 5, 2, 3), (3, 5))):
             dim = 4
             frames = sum(lengths) or 8
@@ -315,7 +315,7 @@ class TestBackward:
             assert loss == forward_loss(spec, params, batch)
 
     def test_duplicated_batch_same_gradient(self):
-        rng = make_rng(29)
+        rng = substream(29)
         spec = MlpSpec((4, 5, 3))
         params = init_params(spec, rng)
         x = rng.normal(size=(6, 4))
@@ -325,7 +325,7 @@ class TestBackward:
         np.testing.assert_allclose(g2, g1, rtol=1e-10, atol=1e-13)
 
     def test_duplicated_sequences_same_gradient(self):
-        rng = make_rng(31)
+        rng = substream(31)
         spec = LstmSpec(3, 4, 1, 2)
         params = init_params(spec, rng)
         x = rng.normal(size=(5, 3))
@@ -349,7 +349,7 @@ class TestBackward:
         weights that saturate the sigmoids make products of zero, where a
         BLAS kernel may return -0.0; the gradient never holds -0.0, just as
         when it was summed into zeros."""
-        rng = make_rng(seed)
+        rng = substream(seed)
         if kind == "mlp":
             spec, lengths = MlpSpec((4, 6, 5, 3)), ()
         else:  # mixed lengths: three length groups
@@ -369,8 +369,8 @@ class TestBackward:
 
     def test_out_must_be_a_contiguous_gradient_vector(self):
         spec = MlpSpec((3, 2))
-        params = init_params(spec, make_rng(2))
-        batch = random_batch(make_rng(3), 4, 3, 2)
+        params = init_params(spec, substream(2))
+        batch = random_batch(substream(3), 4, 3, 2)
         for out in (np.zeros(len(params) + 1), np.zeros(2 * len(params))[::2]):
             with pytest.raises(ValueError, match="C-contiguous"):
                 backward(spec, params, batch, out=out)
@@ -378,7 +378,7 @@ class TestBackward:
     @given(kind=st.sampled_from(["mlp", "lstm"]), seed=st.integers(0, 2**31 - 1))
     @settings(max_examples=20, deadline=None)
     def test_gradient_check_random_small_models(self, kind, seed):
-        rng = make_rng(seed)
+        rng = substream(seed)
         if kind == "mlp":
             sizes = tuple(int(s) for s in rng.integers(2, 7, size=int(rng.integers(2, 4))))
             spec = MlpSpec(sizes)
@@ -399,7 +399,7 @@ class TestBackward:
 
 class TestSigmoid:
     def test_fresh_array_bitwise_and_input_untouched(self):
-        z = sigmoid_inputs(make_rng(3), 500)
+        z = sigmoid_inputs(substream(3), 500)
         before = z.tobytes()
         got = _sigmoid(z)
         assert got is not z
@@ -407,12 +407,12 @@ class TestSigmoid:
         assert z.tobytes() == before
 
     def test_read_only_input(self):
-        z = sigmoid_inputs(make_rng(4), 64)
+        z = sigmoid_inputs(substream(4), 64)
         z.flags.writeable = False
         assert np.array_equal(_sigmoid(z), sigmoid_reference(z))
 
     def test_in_place_returns_same_array(self):
-        z = sigmoid_inputs(make_rng(5), 500).reshape(50, 10)
+        z = sigmoid_inputs(substream(5), 500).reshape(50, 10)
         want = sigmoid_reference(z)
         got = _sigmoid(z, out=z)
         assert got is z
@@ -421,7 +421,7 @@ class TestSigmoid:
     def test_gate_column_slice(self):
         # the recurrent cell takes one gate's columns of an (n, 4H) array
         n, h = 37, 16
-        z = sigmoid_inputs(make_rng(6), n * 4 * h).reshape(n, 4 * h)
+        z = sigmoid_inputs(substream(6), n * 4 * h).reshape(n, 4 * h)
         before = z.tobytes()
         for g in range(4):
             cols = z[:, g * h : (g + 1) * h]
@@ -432,68 +432,36 @@ class TestSigmoid:
 class TestEvaluationLogits:
     @pytest.mark.parametrize("sizes", [(36, 256, 256, 8), (36, 32, 8)])
     def test_mlp_logits_bitwise_equal_allocating_reference(self, sizes):
-        # the FER digests round logits to a class; this pins their bits, with
-        # and without a workspace, at the test and validation set sizes
-        rng = make_rng(47)
+        # the FER digests round logits to a class; this pins their bits at the
+        # test and validation set sizes
+        rng = substream(47)
         spec = MlpSpec(sizes)
         params = init_params(spec, rng)
         for rows in (4000, 2000):
-            inputs = rng.normal(size=(rows, sizes[0]))
-            batch = Batch(inputs, np.zeros(rows, dtype=int))
-            want = mlp_logits_reference(spec, params.values, inputs)
-            logits, _ = _forward(spec, params, batch)
-            assert np.array_equal(logits, want)
-            workspace = forward_workspace(spec, rows)
-            logits, _ = _forward(spec, params, batch, workspace=workspace)
-            assert np.array_equal(logits, want)
-            assert np.array_equal(
-                predict_frames(spec, params, batch, workspace=workspace),
-                predict_frames(spec, params, batch),
-            )
+            self.check(spec, params, rng.normal(size=(rows, sizes[0])))
 
+    @given(
+        spec=MLP_SPECS,
+        rows=st.integers(1, 300),
+        scale=st.sampled_from([1.0, 30.0]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_mlp_logits_bitwise_equal_allocating_reference_any_shape(
+        self, spec, rows, scale, seed
+    ):
+        # weights scaled by 30 saturate the sigmoids
+        rng = substream(seed)
+        params = ParamVector(scale * init_params(spec, rng).values)
+        self.check(spec, params, rng.normal(size=(rows, spec.input_dim)))
 
-class TestForwardWorkspace:
-    def test_one_array_per_layer(self):
-        workspace = forward_workspace(MlpSpec((36, 256, 256, 8)), 4000)
-        assert [w.shape for w in workspace] == [(4000, 256), (4000, 256), (4000, 8)]
-        assert all(w.dtype == np.float64 and w.flags.c_contiguous for w in workspace)
-
-    def test_reuse_across_checkpoints_keeps_each_result(self):
-        # one workspace for checkpoints A, B, A, as evaluation reuses it
-        rng = make_rng(59)
-        spec = MlpSpec((36, 32, 8))
-        a, b = init_params(spec, rng), init_params(spec, rng)
-        inputs = unlabelled(rng.normal(size=(500, 36)))
-        workspace = forward_workspace(spec, 500)
-        first = predict_frames(spec, a, inputs, workspace=workspace)
-        kept = first.copy()
-        other = predict_frames(spec, b, inputs, workspace=workspace)
-        again = predict_frames(spec, a, inputs, workspace=workspace)
-        assert not np.array_equal(first, other)
-        assert np.array_equal(first, kept)
-        assert np.array_equal(again, kept)
-        assert np.array_equal(again, predict_frames(spec, a, inputs))
-        assert np.array_equal(other, predict_frames(spec, b, inputs))
-
-    def test_predictions_do_not_alias_workspace(self):
-        rng = make_rng(61)
-        spec = MlpSpec((6, 9, 4))
-        inputs = unlabelled(rng.normal(size=(20, 6)))
-        workspace = forward_workspace(spec, 20)
-        preds = predict_frames(spec, init_params(spec, rng), inputs, workspace=workspace)
-        assert not any(np.shares_memory(preds, w) for w in workspace)
-
-    def test_lstm_has_none_and_predictions_unchanged(self):
-        rng = make_rng(67)
-        spec = LstmSpec(6, 5, 2, 4)
-        params = init_params(spec, rng)
-        inputs = unlabelled(rng.normal(size=(11, 6)), (4, 3, 4))
-        workspace = forward_workspace(spec, 11)
-        assert workspace is None
-        assert np.array_equal(
-            predict_frames(spec, params, inputs, workspace=workspace),
-            predict_frames(spec, params, inputs),
-        )
+    @staticmethod
+    def check(spec, params, inputs):
+        batch = unlabelled(inputs)
+        want = mlp_logits_reference(spec, params.values, inputs)
+        logits, _ = _forward(spec, params, batch)
+        assert logits.tobytes() == want.tobytes()
+        assert np.array_equal(predict_frames(spec, params, batch), np.argmax(want, axis=1))
 
 
 class TestCallerMemory:
@@ -502,7 +470,7 @@ class TestCallerMemory:
         [(MlpSpec((6, 9, 7, 4)), ()), (LstmSpec(6, 5, 2, 4), (4, 3, 4))],
     )
     def test_backward_and_predict_leave_caller_arrays_unchanged(self, spec, lengths):
-        rng = make_rng(53)
+        rng = substream(53)
         # a worker's writable parameter row, as the cluster hands it out
         rows = np.stack([init_params(spec, rng).values for _ in range(3)])
         inputs = rng.normal(size=(sum(lengths) or 11, 6))
@@ -528,11 +496,29 @@ class TestPredict:
         assert np.array_equal(predict_frames(spec, ParamVector(tied), inputs), [0, 0, 0])
 
     def test_zero_params_predict_class_zero(self):
-        rng = make_rng(2)
+        rng = substream(2)
         for spec in (MlpSpec((4, 3, 5)), LstmSpec(4, 3, 1, 5)):
             zero = ParamVector.zeros(param_count(spec))
             preds = predict_frames(spec, zero, unlabelled(rng.normal(size=(7, 4)), (3, 4)))
             assert np.array_equal(preds, np.zeros(7, dtype=int))
+
+    @pytest.mark.parametrize(
+        "spec,lengths",
+        [(MlpSpec((36, 32, 8)), ()), (LstmSpec(6, 5, 2, 4), (40, 30, 40))],
+    )
+    def test_reuse_across_checkpoints_keeps_each_result(self, spec, lengths):
+        # checkpoints A, B, A in turn, as evaluation predicts them
+        rng = substream(59)
+        a, b = init_params(spec, rng), init_params(spec, rng)
+        inputs = unlabelled(rng.normal(size=(sum(lengths) or 500, spec.input_dim)), lengths)
+        first = predict_frames(spec, a, inputs)
+        kept = first.copy()
+        other = predict_frames(spec, b, inputs)
+        again = predict_frames(spec, a, inputs)
+        assert not np.array_equal(first, other)
+        assert np.array_equal(first, kept)
+        assert np.array_equal(again, kept)
+        assert not np.shares_memory(first, other) and not np.shares_memory(first, again)
 
     def test_dimension_mismatch(self):
         spec = MlpSpec((4, 3))
@@ -542,7 +528,7 @@ class TestPredict:
             )
 
     def test_lstm_grouped_eval_matches_per_sequence(self):
-        rng = make_rng(13)
+        rng = substream(13)
         spec = LstmSpec(3, 4, 2, 3)
         params = init_params(spec, rng)
         seqs = [rng.normal(size=(5, 3)) for _ in range(6)]
@@ -561,7 +547,7 @@ class TestLstmReducesToMlp:
         recurrent cell computes sigmoid(W1 x + b1) * tanh(1); dividing the
         output projection by tanh(1) then reproduces the dense net exactly.
         """
-        rng = make_rng(37)
+        rng = substream(37)
         d, h, k = 4, 5, 3
         mlp = MlpSpec((d, h, k))
         mlp_params = init_params(mlp, rng)

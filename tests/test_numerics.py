@@ -10,7 +10,6 @@ from blocktrain.numerics import (
     ParamVector,
     centered_mean,
     frozen,
-    make_rng,
     mean_reduce,
     substream,
 )
@@ -185,12 +184,12 @@ class TestPlacement:
 
 class TestRng:
     def test_same_seed_same_stream(self):
-        a = make_rng(1234).uniform(size=100)
-        b = make_rng(1234).uniform(size=100)
+        a = substream(1234).uniform(size=100)
+        b = substream(1234).uniform(size=100)
         assert np.array_equal(a, b)
 
     def test_different_seeds_differ(self):
-        assert not np.array_equal(make_rng(1).uniform(size=10), make_rng(2).uniform(size=10))
+        assert not np.array_equal(substream(1).uniform(size=10), substream(2).uniform(size=10))
 
     def test_substream_determinism_and_independence(self):
         a = substream(9, 5, 0).uniform(size=20)
@@ -200,11 +199,10 @@ class TestRng:
         assert not np.array_equal(a, c)
 
     @pytest.mark.parametrize("seed", [0, 1, 5, 2024, 2**32, 2**63, 2**64 - 1, 2**70])
-    def test_make_rng_is_the_untagged_substream(self, seed):
+    def test_untagged_substream_is_the_scalar_seed_stream(self, seed):
         # SeedSequence(s) and SeedSequence([s]) key the same Philox stream
         scalar = np.random.Generator(np.random.Philox(np.random.SeedSequence(seed)))
         want = scalar.integers(0, 2**63, size=8)
-        assert np.array_equal(make_rng(seed).integers(0, 2**63, size=8), want)
         assert np.array_equal(substream(seed).integers(0, 2**63, size=8), want)
 
     def test_substream_rejects_negative_tags(self):
@@ -213,6 +211,6 @@ class TestRng:
 
     def test_known_stream_is_frozen(self):
         # regression pin: the generator family must not silently change
-        first = make_rng(0).integers(0, 1 << 16, size=4)
-        again = make_rng(0).integers(0, 1 << 16, size=4)
+        first = substream(0).integers(0, 1 << 16, size=4)
+        again = substream(0).integers(0, 1 << 16, size=4)
         assert np.array_equal(first, again)

@@ -29,13 +29,11 @@ ROOT_NAMES = (
     "decentralized_aggregate",
     "evaluate_checkpoints",
     "forward_loss",
-    "forward_workspace",
     "frame_error_rate",
     "generate_corpus",
     "init_params",
     "load_checkpoint",
     "load_corpus",
-    "make_rng",
     "make_shard_plan",
     "mean_reduce",
     "param_count",

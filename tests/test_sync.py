@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from blocktrain.numerics import ParamVector, frozen, make_rng, mean_reduce
+from blocktrain.numerics import ParamVector, frozen, mean_reduce, substream
 from blocktrain.sync import (
     Checkpoint,
     ShadowState,
@@ -30,7 +30,7 @@ def fresh_state(theta0, eta, zeta):
 
 class TestBmuf:
     def test_degenerate_is_model_averaging_bitwise(self):
-        rng = make_rng(0)
+        rng = substream(0)
         locals_ = [pv(rng.normal(size=9)) for _ in range(4)]
         state = SyncState.initial(pv(rng.normal(size=9)), 0.0, 1.0)
         # a non-zero accumulator must not leak through when eta == 0
@@ -53,7 +53,7 @@ class TestBmuf:
         assert state.global_model.values[0] == pytest.approx(3.8, abs=1e-12)
 
     def test_matches_reference_recursion(self):
-        rng = make_rng(8)
+        rng = substream(8)
         theta0 = rng.normal(size=6)
         means = [rng.normal(size=6) for _ in range(12)]
         state = fresh_state(theta0, 0.7, 0.9)
@@ -146,7 +146,7 @@ class TestBmuf:
         that then echo the broadcast back add nothing, so the filtered update
         must decay geometrically and the raw model update must vanish.
         """
-        rng = make_rng(4)
+        rng = substream(4)
         for eta in (0.5, 0.9, 0.99):
             theta0 = rng.normal(size=5)
             state = fresh_state(theta0, eta, 1.0)
@@ -188,13 +188,13 @@ class TestShadow:
     def test_alpha_one_is_frozen_forever(self):
         theta0 = pv([2.0, -7.0])
         shadow = ShadowState.initial(theta0, ema_rate=1.0)
-        rng = make_rng(9)
+        rng = substream(9)
         for _ in range(20):
             shadow = shadow_update(shadow, pv(rng.normal(size=2)))
         assert shadow.ema_model.values.tobytes() == theta0.values.tobytes()
 
     def test_ma_matches_stored_history(self):
-        rng = make_rng(12)
+        rng = substream(12)
         shadow = ShadowState.initial(pv(rng.normal(size=8)), ema_rate=0.9)
         history = []
         for _ in range(300):
@@ -283,7 +283,7 @@ class TestShadow:
 
 class TestFinalModels:
     def test_collapse_after_single_degenerate_sync(self):
-        rng = make_rng(2)
+        rng = substream(2)
         theta0 = pv(rng.normal(size=4))
         sync = SyncState.initial(theta0, 0.0, 1.0)
         shadow = ShadowState.initial(theta0, ema_rate=0.0)
@@ -297,7 +297,7 @@ class TestFinalModels:
 
 class TestCheckpointIo:
     def test_round_trip(self, tmp_path):
-        cp = Checkpoint("ema", 12, 3.25, pv(make_rng(3).normal(size=31)))
+        cp = Checkpoint("ema", 12, 3.25, pv(substream(3).normal(size=31)))
         path = tmp_path / "cp.npz"
         save_checkpoint(path, cp)
         loaded = load_checkpoint(path)
